@@ -52,7 +52,23 @@ void BatchMeans::add(double x) {
     batch_means_.push_back(current_sum_ / batch_size_);
     current_sum_ = 0.0;
     current_count_ = 0;
+    close_batch();
   }
+}
+
+void BatchMeans::close_batch() {
+  const std::uint32_t n = effective_batches();
+  if (n == 0) return;
+  effective_sum_ += batch_means_.back();
+  mean_ = effective_sum_ / n;
+  if (n < 2) return;
+  double ss = 0.0;
+  for (std::size_t i = discard_; i < batch_means_.size(); ++i) {
+    const double d = batch_means_[i] - mean_;
+    ss += d * d;
+  }
+  const double s2 = ss / (n - 1);
+  half_width_ = student_t_975(n - 1) * std::sqrt(s2 / n);
 }
 
 std::uint32_t BatchMeans::effective_batches() const {
@@ -60,33 +76,10 @@ std::uint32_t BatchMeans::effective_batches() const {
   return completed > discard_ ? completed - discard_ : 0;
 }
 
-double BatchMeans::mean() const {
-  const std::uint32_t n = effective_batches();
-  if (n == 0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = discard_; i < batch_means_.size(); ++i) sum += batch_means_[i];
-  return sum / n;
-}
-
-double BatchMeans::half_width() const {
-  const std::uint32_t n = effective_batches();
-  if (n < 2) return std::numeric_limits<double>::infinity();
-  const double m = mean();
-  double ss = 0.0;
-  for (std::size_t i = discard_; i < batch_means_.size(); ++i) {
-    const double d = batch_means_[i] - m;
-    ss += d * d;
-  }
-  const double s2 = ss / (n - 1);
-  return student_t_975(n - 1) * std::sqrt(s2 / n);
-}
-
 bool BatchMeans::converged(double rel, std::uint32_t min_batches) const {
-  const std::uint32_t n = effective_batches();
-  if (n < min_batches) return false;
-  const double m = mean();
-  if (m == 0.0) return false;
-  return half_width() <= rel * std::abs(m);
+  if (effective_batches() < min_batches) return false;
+  if (mean_ == 0.0) return false;
+  return half_width_ <= rel * std::abs(mean_);
 }
 
 }  // namespace mcnet::evsim

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "core/router.hpp"
 #include "evsim/scheduler.hpp"
@@ -15,12 +18,36 @@ namespace mcnet::worm {
 
 namespace {
 
+void validate(const DynamicConfig& config) {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("DynamicConfig." + what);
+  };
+  if (config.batch_size == 0) fail("batch_size must be positive");
+  if (!std::isfinite(config.rel_precision) || config.rel_precision <= 0.0) {
+    fail("rel_precision must be finite and > 0 (got " +
+         std::to_string(config.rel_precision) + ")");
+  }
+  if (config.min_batches < 2) {
+    fail("min_batches must be >= 2, a CI needs two effective batches (got " +
+         std::to_string(config.min_batches) + ")");
+  }
+  if (!std::isfinite(config.max_sim_time_s) || config.max_sim_time_s <= 0.0) {
+    fail("max_sim_time_s must be finite and > 0 (got " +
+         std::to_string(config.max_sim_time_s) + ")");
+  }
+  if (config.max_messages < config.target_messages) {
+    fail("max_messages (" + std::to_string(config.max_messages) +
+         ") must be >= target_messages (" + std::to_string(config.target_messages) + ")");
+  }
+}
+
 /// Shared body of the two run_dynamic overloads; `make_driver` decides
 /// whether the TrafficDriver is wired to a RouteBuilder or to a Router
 /// (the latter enables TrafficConfig::route_batch prefetching).
 DynamicResult run_dynamic_impl(
     const topo::Topology& topology, const DynamicConfig& config,
     const std::function<TrafficDriver(evsim::Scheduler&, Network&)>& make_driver) {
+  validate(config);
   evsim::Scheduler sched;
   Network network(topology, config.params, sched);
   TrafficDriver driver = make_driver(sched, network);
@@ -35,15 +62,23 @@ DynamicResult run_dynamic_impl(
   network.set_hooks(std::move(hooks));
 
   driver.start();
-  bool converged = false;
+  // The generators reschedule forever, so the queue never drains and one
+  // of the breaks below always sets the reason.
+  Termination termination = Termination::kMaxSimTime;
   while (sched.step()) {
+    // converged() is an O(1) read: BatchMeans refreshes its estimate only
+    // when a batch closes.
     if (network.messages_completed() >= config.target_messages &&
         latency.converged(config.rel_precision, config.min_batches)) {
-      converged = true;
+      termination = Termination::kConverged;
       break;
     }
-    if (network.messages_completed() >= config.max_messages ||
-        sched.now() >= config.max_sim_time_s) {
+    if (network.messages_completed() >= config.max_messages) {
+      termination = Termination::kMaxMessages;
+      break;
+    }
+    if (sched.now() >= config.max_sim_time_s) {
+      termination = Termination::kMaxSimTime;
       break;
     }
   }
@@ -64,14 +99,24 @@ DynamicResult run_dynamic_impl(
       result.messages_completed > 0
           ? network.total_blocked_time() / static_cast<double>(result.messages_completed) * 1e6
           : 0.0;
-  result.converged = converged;
+  result.termination = termination;
+  result.converged = termination == Termination::kConverged;
   result.saturated =
-      !converged && result.messages_injected > 0 &&
+      !result.converged && result.messages_injected > 0 &&
       result.messages_completed * 10 < result.messages_injected * 9;  // >10 % backlog
   return result;
 }
 
 }  // namespace
+
+const char* termination_name(Termination t) {
+  switch (t) {
+    case Termination::kConverged: return "converged";
+    case Termination::kMaxMessages: return "max_messages";
+    case Termination::kMaxSimTime: return "max_sim_time";
+  }
+  return "unknown";
+}
 
 DynamicResult run_dynamic(const topo::Topology& topology, const RouteBuilder& builder,
                           const DynamicConfig& config) {

@@ -20,6 +20,10 @@ class EventTracer;
 
 namespace mcnet::worm {
 
+/// Invariants run_dynamic enforces (std::invalid_argument naming the
+/// field): batch_size > 0; rel_precision finite and > 0; min_batches >= 2
+/// (a CI needs two effective batches); max_sim_time_s finite and > 0;
+/// max_messages >= target_messages.
 struct DynamicConfig {
   WormholeParams params;
   TrafficConfig traffic;
@@ -40,6 +44,15 @@ struct DynamicConfig {
   obs::EventTracer* tracer = nullptr;
 };
 
+/// Why a dynamic run stopped.
+enum class Termination : std::uint8_t {
+  kConverged,    // target reached and the latency CI met the stopping rule
+  kMaxMessages,  // max_messages multicasts completed first
+  kMaxSimTime,   // simulated time reached max_sim_time_s first
+};
+
+[[nodiscard]] const char* termination_name(Termination t);
+
 struct DynamicResult {
   double mean_latency_us = 0.0;      // per-destination network latency
   /// 95 % CI half-width; quiet NaN when `ci_valid` is false (fewer than 2
@@ -58,6 +71,7 @@ struct DynamicResult {
   /// component of the Section 2.2 latency decomposition.
   double mean_blocking_us = 0.0;
   bool converged = false;
+  Termination termination = Termination::kMaxSimTime;
   /// True when the run hit a hard cap with injections outpacing
   /// completions (the network is saturated at this load).
   bool saturated = false;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -286,6 +290,111 @@ TEST(BatchMeans, PartialBatchDoesNotCount) {
   bm.add(1.0);
   EXPECT_EQ(bm.completed_batches(), 1u);
   EXPECT_THROW(BatchMeans(0, 0), std::invalid_argument);
+}
+
+/// The batch-means estimator as it was before its mean and half-width were
+/// cached: every query recomputes from the stored batch means.  The
+/// property test below holds BatchMeans to these bits.
+class ReferenceBatchMeans {
+ public:
+  ReferenceBatchMeans(std::uint32_t batch_size, std::uint32_t discard)
+      : batch_size_(batch_size), discard_(discard) {}
+
+  void add(double x) {
+    current_sum_ += x;
+    if (++current_count_ == batch_size_) {
+      batch_means_.push_back(current_sum_ / batch_size_);
+      current_sum_ = 0.0;
+      current_count_ = 0;
+    }
+  }
+  [[nodiscard]] std::uint32_t effective_batches() const {
+    const auto completed = static_cast<std::uint32_t>(batch_means_.size());
+    return completed > discard_ ? completed - discard_ : 0;
+  }
+  [[nodiscard]] double mean() const {
+    const std::uint32_t n = effective_batches();
+    if (n == 0) return 0.0;
+    double sum = 0.0;
+    for (std::size_t i = discard_; i < batch_means_.size(); ++i) sum += batch_means_[i];
+    return sum / n;
+  }
+  [[nodiscard]] double half_width() const {
+    const std::uint32_t n = effective_batches();
+    if (n < 2) return std::numeric_limits<double>::infinity();
+    const double m = mean();
+    double ss = 0.0;
+    for (std::size_t i = discard_; i < batch_means_.size(); ++i) {
+      const double d = batch_means_[i] - m;
+      ss += d * d;
+    }
+    const double s2 = ss / (n - 1);
+    return student_t_975(n - 1) * std::sqrt(s2 / n);
+  }
+  [[nodiscard]] bool converged(double rel, std::uint32_t min_batches) const {
+    const std::uint32_t n = effective_batches();
+    if (n < min_batches) return false;
+    const double m = mean();
+    if (m == 0.0) return false;
+    return half_width() <= rel * std::abs(m);
+  }
+
+ private:
+  std::uint32_t batch_size_;
+  std::uint32_t discard_;
+  double current_sum_ = 0.0;
+  std::uint32_t current_count_ = 0;
+  std::vector<double> batch_means_;
+};
+
+TEST(BatchMeans, CachedEstimatesAreBitIdenticalToRecomputation) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, std::uint32_t>> rules = {
+      {0.05, 10}, {0.05, 2}, {0.2, 2}, {0.01, 30}, {1.0, 0}, {kInf, 1}};
+  struct Stream {
+    const char* name;
+    std::function<double(Rng&, std::uint64_t)> sample;
+  };
+  const std::vector<Stream> streams = {
+      {"latency-like", [](Rng& r, std::uint64_t) { return 5e-6 + r.exponential(12e-6); }},
+      {"uniform", [](Rng& r, std::uint64_t) { return r.uniform(90.0, 110.0); }},
+      {"constant", [](Rng&, std::uint64_t) { return 3.7; }},
+      {"all-zero", [](Rng&, std::uint64_t) { return 0.0; }},
+      {"zero-mean", [](Rng& r, std::uint64_t) { return r.uniform(-1.0, 1.0); }},
+      {"alternating", [](Rng&, std::uint64_t i) { return i % 2 == 0 ? 1.0 : -1.0; }},
+      {"infinite spike",
+       [](Rng& r, std::uint64_t i) { return i == 40 ? kInf : r.uniform(0.0, 1.0); }},
+  };
+  for (const std::uint32_t batch_size : {1u, 7u, 1000u}) {
+    // 500 batches for the small sizes; the reference is O(batches) per
+    // query, so the 1000-sample batches stop at 30.
+    const std::uint64_t batches = batch_size == 1000 ? 30 : 500;
+    for (std::uint32_t discard = 0; discard <= 3; ++discard) {
+      for (std::size_t s = 0; s < streams.size(); ++s) {
+        SCOPED_TRACE(::testing::Message() << streams[s].name << " batch_size=" << batch_size
+                                          << " discard=" << discard);
+        Rng rng(derive_seed(batch_size * 4 + discard, s));
+        BatchMeans bm(batch_size, discard);
+        ReferenceBatchMeans ref(batch_size, discard);
+        for (std::uint64_t i = 0; i < batches * batch_size; ++i) {
+          const double x = streams[s].sample(rng, i);
+          bm.add(x);
+          ref.add(x);
+          ASSERT_EQ(bm.effective_batches(), ref.effective_batches()) << "sample " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(bm.mean()),
+                    std::bit_cast<std::uint64_t>(ref.mean()))
+              << "sample " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(bm.half_width()),
+                    std::bit_cast<std::uint64_t>(ref.half_width()))
+              << "sample " << i;
+          for (const auto& [rel, min_batches] : rules) {
+            ASSERT_EQ(bm.converged(rel, min_batches), ref.converged(rel, min_batches))
+                << "sample " << i << " rel=" << rel << " min_batches=" << min_batches;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Random, SampleDestinationsIsRoughlyUniform) {

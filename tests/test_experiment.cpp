@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/route_factory.hpp"
 #include "wormhole/experiment.hpp"
@@ -27,6 +31,28 @@ RouteBuilder make_builder(const MeshRoutingSuite& suite, Algorithm algo,
                                  suite.route(algo, mcast::MulticastRequest{src, dests}),
                                  copies);
   };
+}
+
+/// A light 4x4 run small enough to stop for any of the three reasons.
+DynamicConfig small_config() {
+  DynamicConfig cfg;
+  cfg.params = {.flit_time = 50e-9, .message_flits = 16, .channel_copies = 1};
+  cfg.traffic = {.mean_interarrival_s = 200e-6,
+                 .avg_destinations = 2,
+                 .fixed_destinations = true,
+                 .exponential_interarrival = false,
+                 .seed = 3};
+  cfg.target_messages = 200;
+  cfg.max_messages = 800;
+  cfg.max_sim_time_s = 1.0;
+  cfg.batch_size = 20;
+  return cfg;
+}
+
+DynamicResult run_small(const DynamicConfig& cfg) {
+  const Mesh2D mesh(4, 4);
+  const MeshRoutingSuite suite(mesh);
+  return run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
 }
 
 TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
@@ -191,23 +217,120 @@ TEST(DynamicExperiment, TinyRunReportsInvalidConfidenceInterval) {
 }
 
 TEST(DynamicExperiment, LongRunReportsValidConfidenceInterval) {
-  const Mesh2D mesh(4, 4);
-  const MeshRoutingSuite suite(mesh);
-  DynamicConfig cfg;
-  cfg.params = {.flit_time = 50e-9, .message_flits = 16, .channel_copies = 1};
-  cfg.traffic = {.mean_interarrival_s = 200e-6,
-                 .avg_destinations = 2,
-                 .fixed_destinations = true,
-                 .exponential_interarrival = false,
-                 .seed = 3};
-  cfg.target_messages = 200;
-  cfg.max_messages = 800;
-  cfg.max_sim_time_s = 1.0;
-  cfg.batch_size = 20;
-  const DynamicResult r = run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  const DynamicResult r = run_small(small_config());
   EXPECT_TRUE(r.ci_valid);
   EXPECT_TRUE(std::isfinite(r.ci_half_us));
   EXPECT_GE(r.ci_half_us, 0.0);
+}
+
+TEST(DynamicExperiment, PinnedNearKneePointIsBitExact) {
+  // A seeded 8x8 dual-path point that needs ~390 effective batches, far
+  // more than min_batches, so the stopping rule is evaluated at every
+  // batch close for thousands of messages.  Its latency, CI half-width,
+  // stop time and message count are pinned to the bit: any change to the
+  // batch-means arithmetic or to where the loop stops moves them.
+  const Mesh2D mesh(8, 8);
+  const MeshRoutingSuite suite(mesh);
+  DynamicConfig cfg;
+  cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 1};
+  cfg.traffic = {.mean_interarrival_s = 400e-6,
+                 .avg_destinations = 10,
+                 .fixed_destinations = false,
+                 .exponential_interarrival = true,
+                 .seed = 29};
+  cfg.target_messages = 300;
+  cfg.max_messages = 20000;
+  cfg.max_sim_time_s = 5.0;
+  cfg.batch_size = 200;
+  const DynamicResult r = run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.termination, worm::Termination::kConverged);
+  EXPECT_EQ(r.messages_completed, 7810u);
+  EXPECT_EQ(r.deliveries, 78800u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_latency_us), 0x4030b6d423d15ea2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.ci_half_us), 0x3feab3c5c1378d7eu);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sim_time_s), 0x3fa9285010bac5c2u);
+}
+
+TEST(DynamicExperiment, TerminationStatesWhyTheRunStopped) {
+  DynamicConfig cfg = small_config();
+  cfg.rel_precision = 0.5;  // met as soon as the target is reached
+  DynamicResult r = run_small(cfg);
+  EXPECT_EQ(r.termination, worm::Termination::kConverged);
+  EXPECT_TRUE(r.converged);
+  EXPECT_STREQ(worm::termination_name(r.termination), "converged");
+
+  cfg = small_config();
+  cfg.rel_precision = 1e-9;  // never met
+  r = run_small(cfg);
+  EXPECT_EQ(r.termination, worm::Termination::kMaxMessages);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.messages_completed, cfg.max_messages);
+  EXPECT_STREQ(worm::termination_name(r.termination), "max_messages");
+
+  cfg = small_config();
+  cfg.rel_precision = 1e-9;
+  cfg.max_sim_time_s = 1e-3;  // a handful of arrivals per node
+  r = run_small(cfg);
+  EXPECT_EQ(r.termination, worm::Termination::kMaxSimTime);
+  EXPECT_FALSE(r.converged);
+  EXPECT_LT(r.messages_completed, cfg.max_messages);
+  EXPECT_GE(r.sim_time_s, cfg.max_sim_time_s);
+  EXPECT_STREQ(worm::termination_name(r.termination), "max_sim_time");
+}
+
+/// run_dynamic must reject `cfg` before simulating, naming `field`.
+void expect_rejected(const DynamicConfig& cfg, const std::string& field) {
+  try {
+    (void)run_small(cfg);
+    FAIL() << "expected invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("DynamicConfig." + field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DynamicConfigValidation, RejectsZeroBatchSize) {
+  DynamicConfig cfg = small_config();
+  cfg.batch_size = 0;
+  expect_rejected(cfg, "batch_size");
+}
+
+TEST(DynamicConfigValidation, RejectsNonPositiveOrNonFiniteRelPrecision) {
+  for (const double bad : {0.0, -0.05, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    DynamicConfig cfg = small_config();
+    cfg.rel_precision = bad;
+    expect_rejected(cfg, "rel_precision");
+  }
+}
+
+TEST(DynamicConfigValidation, RejectsFewerThanTwoMinBatches) {
+  for (const std::uint32_t bad : {0u, 1u}) {
+    DynamicConfig cfg = small_config();
+    cfg.min_batches = bad;
+    expect_rejected(cfg, "min_batches");
+  }
+  DynamicConfig cfg = small_config();
+  cfg.min_batches = 2;
+  EXPECT_NO_THROW((void)run_small(cfg));
+}
+
+TEST(DynamicConfigValidation, RejectsNonPositiveOrNonFiniteMaxSimTime) {
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    DynamicConfig cfg = small_config();
+    cfg.max_sim_time_s = bad;
+    expect_rejected(cfg, "max_sim_time_s");
+  }
+}
+
+TEST(DynamicConfigValidation, RejectsMaxMessagesBelowTarget) {
+  DynamicConfig cfg = small_config();
+  cfg.max_messages = cfg.target_messages - 1;
+  expect_rejected(cfg, "max_messages");
+  cfg.max_messages = cfg.target_messages;
+  EXPECT_NO_THROW((void)run_small(cfg));
 }
 
 }  // namespace

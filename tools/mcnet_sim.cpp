@@ -169,6 +169,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.messages_completed));
       std::printf("  converged: %s, saturated: %s\n", r.converged ? "yes" : "no",
                   r.saturated ? "yes" : "no");
+      std::printf("  stopped by:       %s\n", worm::termination_name(r.termination));
       std::printf("  route cache:      %llu hits / %llu misses (%.1f%% hit rate)\n",
                   static_cast<unsigned long long>(cache.hits),
                   static_cast<unsigned long long>(cache.misses), cache.hit_rate() * 100.0);
