@@ -11,6 +11,7 @@
 #include "cdg/analyzers.hpp"
 #include "core/adaptive_path.hpp"
 #include "core/dual_path.hpp"
+#include "core/label_walk.hpp"
 #include "core/multi_path.hpp"
 #include "core/routing_function.hpp"
 
@@ -437,6 +438,17 @@ std::vector<WormSpec> dual_path_worms(const ham::Labeling& labeling,
   return worms;
 }
 
+std::vector<WormSpec> multi_path_worms(const MulticastRequest& request,
+                                       mcast::MultiPathScratch& prepared) {
+  std::vector<WormSpec> worms;
+  worms.reserve(prepared.count);
+  for (std::size_t i = 0; i < prepared.count; ++i) {
+    mcast::MultiPathWorm& w = prepared.worms[i];
+    worms.push_back({w.channel_class, request.source, w.first_hop, 0, std::move(w.targets)});
+  }
+  return worms;
+}
+
 std::vector<WormSpec> unicast_fanout_worms(const MulticastRequest& request) {
   std::vector<WormSpec> worms;
   worms.reserve(request.destinations.size());
@@ -512,19 +524,15 @@ RoutingRelation make_relation(const Fixture& fixture, const std::string& name) {
       const topo::Mesh2D* mesh = fixture.mesh2d;
       const auto* mlab = static_cast<const ham::MeshBoustrophedonLabeling*>(labeling);
       rel.prepare = [mesh, mlab](const MulticastRequest& r) {
-        std::vector<WormSpec> worms;
-        for (mcast::MultiPathWorm& w : mcast::multi_path_prepare(*mesh, *mlab, r)) {
-          worms.push_back({w.channel_class, r.source, w.first_hop, 0, std::move(w.targets)});
-        }
-        return worms;
+        mcast::MultiPathScratch s;
+        mcast::multi_path_prepare(*mesh, *mlab, r, s);
+        return multi_path_worms(r, s);
       };
     } else {
       rel.prepare = [topology, labeling](const MulticastRequest& r) {
-        std::vector<WormSpec> worms;
-        for (mcast::MultiPathWorm& w : mcast::multi_path_prepare(*topology, *labeling, r)) {
-          worms.push_back({w.channel_class, r.source, w.first_hop, 0, std::move(w.targets)});
-        }
-        return worms;
+        mcast::MultiPathScratch s;
+        mcast::labeled_multi_path_prepare(*topology, *labeling, r, s);
+        return multi_path_worms(r, s);
       };
     }
     const mcast::LabelRouter router(*topology, *labeling);

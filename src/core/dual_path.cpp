@@ -1,23 +1,12 @@
 #include "core/dual_path.hpp"
 
-#include <algorithm>
+#include "core/label_walk.hpp"
 
 namespace mcnet::mcast {
 
 void dual_path_prepare(const ham::Labeling& labeling, const MulticastRequest& request,
                        DualPathSplit& out) {
-  out.high.clear();
-  out.low.clear();
-  const std::uint32_t ls = labeling.label(request.source);
-  for (const topo::NodeId d : request.destinations) {
-    (labeling.label(d) > ls ? out.high : out.low).push_back(d);
-  }
-  std::sort(out.high.begin(), out.high.end(), [&](topo::NodeId a, topo::NodeId b) {
-    return labeling.label(a) < labeling.label(b);
-  });
-  std::sort(out.low.begin(), out.low.end(), [&](topo::NodeId a, topo::NodeId b) {
-    return labeling.label(a) > labeling.label(b);
-  });
+  dual_path_split(labeling, request, out);
 }
 
 DualPathSplit dual_path_prepare(const ham::Labeling& labeling,

@@ -33,19 +33,33 @@ struct MultiPathWorm {
   std::vector<topo::NodeId> targets;
 };
 
+/// Reusable multi-path preparation workspace: worms[0, count) are the
+/// prepared worms, and slots past `count` keep their target capacity, so a
+/// scratch reused across requests stops allocating.  Not thread-safe.
+struct MultiPathScratch {
+  DualPathSplit split;
+  std::vector<topo::NodeId> neighbors;
+  std::vector<MultiPathWorm> worms;
+  std::size_t count = 0;
+
+  /// Append an empty worm (reusing a slot) and return it.
+  MultiPathWorm& open(std::uint8_t channel_class, std::optional<topo::NodeId> first_hop) {
+    if (count == worms.size()) worms.emplace_back();
+    MultiPathWorm& w = worms[count++];
+    w.channel_class = channel_class;
+    w.first_hop = first_hop;
+    w.targets.clear();
+    return w;
+  }
+};
+
 /// Splits a request into multi-path worms on the mesh (Fig. 6.14: each side
 /// of the dual-path split divided by the x-coordinates of the source's two
-/// same-side neighbours).
-[[nodiscard]] std::vector<MultiPathWorm> multi_path_prepare(
-    const topo::Mesh2D& mesh, const ham::MeshBoustrophedonLabeling& labeling,
-    const MulticastRequest& request);
-
-/// Splits a request into multi-path worms on any labeled topology
-/// (Fig. 6.20: each side bucketed by the label ranges of the source's
-/// same-side neighbours).
-[[nodiscard]] std::vector<MultiPathWorm> multi_path_prepare(const topo::Topology& topology,
-                                                            const ham::Labeling& labeling,
-                                                            const MulticastRequest& request);
+/// same-side neighbours), into `scratch`.  The split for any other labeled
+/// topology (Fig. 6.20) is labeled_multi_path_prepare in label_walk.hpp.
+void multi_path_prepare(const topo::Mesh2D& mesh,
+                        const ham::MeshBoustrophedonLabeling& labeling,
+                        const MulticastRequest& request, MultiPathScratch& scratch);
 
 [[nodiscard]] MulticastRoute multi_path_route(const topo::Mesh2D& mesh,
                                               const ham::MeshBoustrophedonLabeling& labeling,

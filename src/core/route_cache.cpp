@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <list>
+#include <iterator>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -27,6 +29,18 @@ struct KeyHash {
     }
     return static_cast<std::size_t>(h);
   }
+};
+
+/// Map key referring to a Key stored elsewhere: an entry's own key, or the
+/// probe of a lookup.
+struct KeyRef {
+  const Key* key;
+};
+struct KeyRefHash {
+  std::size_t operator()(KeyRef ref) const { return KeyHash{}(*ref.key); }
+};
+struct KeyRefEqual {
+  bool operator()(KeyRef a, KeyRef b) const { return *a.key == *b.key; }
 };
 
 Key make_key(const MulticastRequest& request) {
@@ -146,9 +160,126 @@ struct BatchWorkspace {
   bool in_use = false;
 };
 
+// Compact cache payload of a worm::WormPlan, one flat array of 32-bit
+// words, so a cached plan costs 4 bytes per link instead of a 12-byte
+// PlanLink (or a 20-byte WormLink):
+//   [worms], then per worm [links, deliveries, shape], channels[links],
+//   depths[links] unless the worm is path-shaped (shape bit 0: link i has
+//   depth i + 1), copy bytes packed four to a word unless every link pins
+//   the same copy (shape bit 1, the copy in bits 8-15), and per delivery
+//   the index of the link that reaches the destination: its depth and head
+//   node give the delivery back.
+constexpr std::uint32_t kPathDepths = 1;
+constexpr std::uint32_t kUniformCopy = 2;
+
+/// Index of the link of `links` at the delivery's depth whose head is the
+/// delivered node.  Every plan of a route has one (route_to_plan delivers
+/// through the link that enters the destination).
+std::uint32_t delivering_link(const topo::Topology& topology,
+                              std::span<const worm::PlanLink> links, bool path_depths,
+                              const worm::Delivery& delivery) {
+  const auto heads_at = [&](std::size_t i) {
+    return links[i].depth == delivery.first &&
+           topology.channel_ends(links[i].channel).to == delivery.second;
+  };
+  if (path_depths && delivery.first >= 1 && delivery.first <= links.size() &&
+      heads_at(delivery.first - 1)) {
+    return delivery.first - 1;
+  }
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (heads_at(i)) return static_cast<std::uint32_t>(i);
+  }
+  throw std::logic_error("plan delivers to a node no link of the worm enters");
+}
+
+void encode_plan(const worm::WormPlan& plan, const topo::Topology& topology,
+                 std::vector<std::uint32_t>& out) {
+  out.clear();
+  out.push_back(static_cast<std::uint32_t>(plan.size()));
+  for (std::size_t w = 0; w < plan.size(); ++w) {
+    const std::span<const worm::PlanLink> links = plan.links(w);
+    const std::span<const worm::Delivery> deliveries = plan.deliveries(w);
+    std::uint32_t shape = kPathDepths | kUniformCopy;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (links[i].depth != i + 1) shape &= ~kPathDepths;
+      if (links[i].copy != links.front().copy) shape &= ~kUniformCopy;
+    }
+    if (!links.empty()) {
+      shape |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(links.front().copy)) << 8;
+    }
+    out.push_back(static_cast<std::uint32_t>(links.size()));
+    out.push_back(static_cast<std::uint32_t>(deliveries.size()));
+    out.push_back(shape);
+    for (const worm::PlanLink& l : links) out.push_back(l.channel);
+    if ((shape & kPathDepths) == 0) {
+      for (const worm::PlanLink& l : links) out.push_back(l.depth);
+    }
+    if ((shape & kUniformCopy) == 0) {
+      for (std::size_t i = 0; i < links.size(); i += 4) {
+        std::uint32_t word = 0;
+        for (std::size_t b = 0; b < 4 && i + b < links.size(); ++b) {
+          word |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(links[i + b].copy))
+                  << (8 * b);
+        }
+        out.push_back(word);
+      }
+    }
+    for (const worm::Delivery& d : deliveries) {
+      out.push_back(delivering_link(topology, links, (shape & kPathDepths) != 0, d));
+    }
+  }
+}
+
+void decode_plan(const std::vector<std::uint32_t>& in, const topo::Topology& topology,
+                 worm::WormPlan& out) {
+  out.clear();
+  std::size_t i = 0;
+  const std::uint32_t worms = in[i++];
+  for (std::uint32_t w = 0; w < worms; ++w) {
+    const std::uint32_t num_links = in[i++];
+    const std::uint32_t num_deliveries = in[i++];
+    const std::uint32_t shape = in[i++];
+    const std::uint32_t* channels = in.data() + i;
+    i += num_links;
+    const std::uint32_t* depths = nullptr;
+    if ((shape & kPathDepths) == 0) {
+      depths = in.data() + i;
+      i += num_links;
+    }
+    const std::uint32_t* copies = nullptr;
+    if ((shape & kUniformCopy) == 0) {
+      copies = in.data() + i;
+      i += (num_links + 3) / 4;
+    }
+    const auto depth_of = [&](std::uint32_t k) { return depths != nullptr ? depths[k] : k + 1; };
+    for (std::uint32_t k = 0; k < num_links; ++k) {
+      const std::uint32_t copy_byte =
+          copies != nullptr ? (copies[k / 4] >> (8 * (k % 4))) & 0xFF : (shape >> 8) & 0xFF;
+      out.add_link(channels[k], depth_of(k),
+                   static_cast<std::int8_t>(static_cast<std::uint8_t>(copy_byte)));
+    }
+    for (std::uint32_t d = 0; d < num_deliveries; ++d) {
+      const std::uint32_t k = in[i++];
+      out.add_delivery(depth_of(k), topology.channel_ends(channels[k]).to);
+    }
+    out.end_worm();
+  }
+}
+
+/// Reusable per-thread buffers of CachingRouter::plan: the cache key and the
+/// encoded payload of a miss.
+struct PlanScratch {
+  Key key;
+  std::vector<std::uint32_t> payload;
+  bool in_use = false;
+};
+
 }  // namespace
 
 struct CachingRouter::Shard {
+  /// One cached multicast set.  route() / route_many() fill the route
+  /// payload and plan() the plan payload; a lookup hits only when its own
+  /// payload is present (a set routed both ways holds both).
   struct Entry {
     Key key;
     /// Shared so the batch path can hold a reference past the shard lock
@@ -156,11 +287,38 @@ struct CachingRouter::Shard {
     /// copy straight into the output arenas -- one copy per request
     /// instead of stage-then-assemble.  Never mutated after insertion.
     std::shared_ptr<const MulticastRoute> route;
+    /// encode_plan() words; empty = no plan cached.
+    std::vector<std::uint32_t> plan;
   };
+
+  /// Insert an entry for the absent `key` at the LRU front.  When the shard
+  /// is full the least recently used entry is evicted and its storage --
+  /// list node, map node, key and payload buffers -- is reused, so a full
+  /// cache inserts without allocating once its buffers have grown.
+  Entry& insert(const Key& new_key, bool& evicted) {
+    evicted = map.size() >= capacity;
+    if (!evicted) {
+      lru.emplace_front();
+      lru.front().key = new_key;
+      map.emplace(KeyRef{&lru.front().key}, lru.begin());
+      return lru.front();
+    }
+    // The map node keeps pointing at the reused entry's key; only the
+    // key's contents (and so its hash) change.
+    auto node = map.extract(KeyRef{&lru.back().key});
+    lru.splice(lru.begin(), lru, std::prev(lru.end()));  // iterators stay valid
+    Entry& e = lru.front();
+    e.key.assign(new_key.begin(), new_key.end());
+    e.route.reset();
+    e.plan.clear();
+    map.insert(std::move(node));
+    return e;
+  }
 
   std::mutex mutex;
   std::list<Entry> lru;  // front = most recently used
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map;
+  /// Keyed by the entry's own key (one copy per entry, not two).
+  std::unordered_map<KeyRef, std::list<Entry>::iterator, KeyRefHash, KeyRefEqual> map;
   std::size_t capacity = 0;
   // Counters are guarded by `mutex` (not atomics): stats() locks every
   // shard before summing, so snapshots are never torn across counters.
@@ -223,8 +381,8 @@ MulticastRoute CachingRouter::route(const MulticastRequest& request) const {
   Shard& shard = shards_[KeyHash{}(key) % num_shards_];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    const auto it = shard.map.find(KeyRef{&key});
+    if (it != shard.map.end() && it->second->route != nullptr) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       ++shard.hits;
       if (metric_hits_ != nullptr) metric_hits_->inc();
@@ -239,18 +397,71 @@ MulticastRoute CachingRouter::route(const MulticastRequest& request) const {
   std::lock_guard<std::mutex> lock(shard.mutex);
   ++shard.misses;  // we did the work even if another thread won the insert
   if (metric_misses_ != nullptr) metric_misses_->inc();
-  if (shard.map.find(key) != shard.map.end()) {
-    return computed;  // another thread inserted the same key while we routed
+  Shard::Entry* entry = nullptr;
+  if (const auto it = shard.map.find(KeyRef{&key}); it != shard.map.end()) {
+    if (it->second->route != nullptr) return computed;  // another thread won the insert
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    entry = &*it->second;
+  } else {
+    bool evicted = false;
+    entry = &shard.insert(key, evicted);
+    if (evicted) {
+      ++shard.evictions;
+      if (metric_evictions_ != nullptr) metric_evictions_->inc();
+    }
   }
-  shard.lru.push_front(Shard::Entry{key, std::make_shared<MulticastRoute>(computed)});
-  shard.map.emplace(shard.lru.front().key, shard.lru.begin());
-  if (shard.map.size() > shard.capacity) {
-    shard.map.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-    if (metric_evictions_ != nullptr) metric_evictions_->inc();
-  }
+  entry->route = std::make_shared<MulticastRoute>(computed);
   return computed;
+}
+
+void CachingRouter::plan(const MulticastRequest& request, worm::WormPlan& out) const {
+  // The thread's buffers are reused across calls; a nested call (stacked
+  // CachingRouters) falls back to fresh local ones.
+  thread_local PlanScratch tls;
+  PlanScratch local;
+  PlanScratch& ps = tls.in_use ? local : tls;
+  struct Claim {
+    PlanScratch& scratch;
+    explicit Claim(PlanScratch& s) : scratch(s) { scratch.in_use = true; }
+    ~Claim() { scratch.in_use = false; }
+    Claim(const Claim&) = delete;
+    Claim& operator=(const Claim&) = delete;
+  } claim(ps);
+
+  make_key_into(request, ps.key);
+  Shard& shard = shards_[KeyHash{}(ps.key) % num_shards_];
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.map.find(KeyRef{&ps.key});
+    if (it != shard.map.end() && !it->second->plan.empty()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      ++shard.hits;
+      if (metric_hits_ != nullptr) metric_hits_->inc();
+      decode_plan(it->second->plan, topology(), out);
+      return;
+    }
+  }
+
+  inner_->plan(request, out);  // outside the lock, as in route()
+  encode_plan(out, topology(), ps.payload);
+
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  ++shard.misses;
+  if (metric_misses_ != nullptr) metric_misses_->inc();
+  Shard::Entry* entry = nullptr;
+  if (const auto it = shard.map.find(KeyRef{&ps.key}); it != shard.map.end()) {
+    if (!it->second->plan.empty()) return;  // another thread won the insert
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    entry = &*it->second;
+  } else {
+    bool evicted = false;
+    entry = &shard.insert(ps.key, evicted);
+    if (evicted) {
+      ++shard.evictions;
+      if (metric_evictions_ != nullptr) metric_evictions_->inc();
+    }
+  }
+  entry->plan.assign(ps.payload.begin(), ps.payload.end());
 }
 
 RouteBatch CachingRouter::route_many(std::span<const MulticastRequest> requests) const {
@@ -357,8 +568,8 @@ RouteBatch CachingRouter::route_many(std::span<const MulticastRequest> requests)
         BatchWorkspace::Slot& slot = ws.slots[ws.shard_order[o]];
         ws.probe.assign(ws.key_arena.begin() + slot.key_begin,
                         ws.key_arena.begin() + slot.key_begin + slot.key_count);
-        const auto it = shard.map.find(ws.probe);
-        if (it == shard.map.end()) continue;
+        const auto it = shard.map.find(KeyRef{&ws.probe});
+        if (it == shard.map.end() || it->second->route == nullptr) continue;
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         ++shard.hits;
         ++hit_count;
@@ -402,20 +613,25 @@ RouteBatch CachingRouter::route_many(std::span<const MulticastRequest> requests)
           ++shard->misses;
           ws.probe.assign(ws.key_arena.begin() + slot.key_begin,
                           ws.key_arena.begin() + slot.key_begin + slot.key_count);
-          if (const auto it = shard->map.find(ws.probe); it != shard->map.end()) {
-            slot.route = it->second->route;  // another thread won the insert
-            continue;
+          Shard::Entry* entry = nullptr;
+          if (const auto it = shard->map.find(KeyRef{&ws.probe}); it != shard->map.end()) {
+            entry = &*it->second;
+            if (entry->route != nullptr) {
+              slot.route = entry->route;  // another thread won the insert
+              continue;
+            }
+            shard->lru.splice(shard->lru.begin(), shard->lru, it->second);
+          } else {
+            bool was_evicted = false;
+            entry = &shard->insert(ws.probe, was_evicted);
+            if (was_evicted) {
+              ++shard->evictions;
+              ++evicted;
+            }
           }
           slot.route = std::make_shared<MulticastRoute>(
               computed.route_at(static_cast<std::size_t>(slot.miss)));
-          shard->lru.push_front(Shard::Entry{ws.probe, slot.route});
-          shard->map.emplace(shard->lru.front().key, shard->lru.begin());
-          if (shard->map.size() > shard->capacity) {
-            shard->map.erase(shard->lru.back().key);
-            shard->lru.pop_back();
-            ++shard->evictions;
-            ++evicted;
-          }
+          entry->route = slot.route;
         }
       }
       // Memo the fresh routes too (outside the locks); the cache-insert

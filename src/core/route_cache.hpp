@@ -11,6 +11,13 @@
 // consistent (hits, misses, evictions) snapshot rather than a torn mix of
 // before/after values.
 //
+// Entries hold a route payload (filled by route()/route_many()) and a plan
+// payload (filled by plan()): the plan is stored compactly, 4 bytes per
+// link, and each lookup kind hits only on its own payload, so route-only
+// users see exactly the route cache they always had.  Nothing is allocated
+// up front; once a shard is full, an insert reuses the evicted entry's
+// storage.
+//
 // route_many() is the batch fast path: requests are deduped on raw
 // identity first (identical requests inside a batch collapse onto one
 // slot without even being canonicalized), survivors probe a thread-local
@@ -92,6 +99,13 @@ class CachingRouter final : public Router {
   /// Element i always equals route(requests[i]).
   [[nodiscard]] RouteBatch route_many(
       std::span<const MulticastRequest> requests) const override;
+
+  /// Cached plan lookup under the same key and counters as route(): a hit
+  /// decodes the entry's compact plan payload into `out`; a miss runs the
+  /// inner router's plan() outside the shard lock and stores it.  The key
+  /// lives in thread-local scratch and a full shard recycles its evicted
+  /// entry's storage, so steady-state lookups allocate nothing.
+  void plan(const MulticastRequest& request, worm::WormPlan& out) const override;
 
   [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override {
     return inner_->specs(route);

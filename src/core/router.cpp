@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/label_walk.hpp"
 #include "topology/kary_ncube.hpp"
 #include "topology/mesh3d.hpp"
 
@@ -40,7 +41,40 @@ void require(const Algorithm (&list)[N], Algorithm a, const topo::Topology& t) {
   }
 }
 
+/// Per-thread scratch of the suite routers' plan(), reused across calls.
+struct PlanScratch {
+  RequestScratch normalize;
+  MulticastRequest normalized;
+  MultiPathScratch paths;
+};
+
+/// plan() of a suite router: the label walk for the path algorithms, the
+/// route -> plan conversion for the rest.
+template <class Topo, class Lab>
+void plan_with_suite(const Router& router, const Topo& topology, const Lab& labeling,
+                     const MulticastRequest& request, worm::WormPlan& out) {
+  thread_local PlanScratch scratch;
+  const MulticastRequest& req =
+      request.normalize_into(topology.num_nodes(), scratch.normalize, scratch.normalized);
+  if (!plan_label_paths(topology, labeling, router.algorithm(), req, router.channel_copies(),
+                        scratch.paths, out)) {
+    router.plan_route(router.route(req), out);
+  }
+}
+
 }  // namespace
+
+void Router::plan(const MulticastRequest& request, worm::WormPlan& out) const {
+  plan_route(route(request), out);
+}
+
+void Router::plan_route(const MulticastRoute& route, worm::WormPlan& out) const {
+  worm::route_to_plan(topology(), route, channel_copies(), out);
+}
+
+std::vector<worm::WormSpec> Router::specs(const MulticastRoute& route) const {
+  return worm::make_worm_specs(topology(), route, channel_copies());
+}
 
 RouteBatch Router::route_many(std::span<const MulticastRequest> requests) const {
   RouteBatch batch;
@@ -127,8 +161,8 @@ RouteBatch MeshRouter::route_many(std::span<const MulticastRequest> requests) co
   return batch;
 }
 
-std::vector<worm::WormSpec> MeshRouter::specs(const MulticastRoute& route) const {
-  return worm::make_worm_specs(suite_.mesh(), route, copies_);
+void MeshRouter::plan(const MulticastRequest& request, worm::WormPlan& out) const {
+  plan_with_suite(*this, suite_.mesh(), suite_.labeling(), request, out);
 }
 
 CubeRouter::CubeRouter(const topo::Hypercube& cube, Algorithm algorithm, std::uint8_t copies)
@@ -154,8 +188,8 @@ RouteBatch CubeRouter::route_many(std::span<const MulticastRequest> requests) co
   return batch;
 }
 
-std::vector<worm::WormSpec> CubeRouter::specs(const MulticastRoute& route) const {
-  return worm::make_worm_specs(suite_.cube(), route, copies_);
+void CubeRouter::plan(const MulticastRequest& request, worm::WormPlan& out) const {
+  plan_with_suite(*this, suite_.cube(), suite_.labeling(), request, out);
 }
 
 LabeledRouter::LabeledRouter(const topo::Topology& topology,
@@ -183,8 +217,8 @@ RouteBatch LabeledRouter::route_many(std::span<const MulticastRequest> requests)
   return batch;
 }
 
-std::vector<worm::WormSpec> LabeledRouter::specs(const MulticastRoute& route) const {
-  return worm::make_worm_specs(suite_.topology(), route, copies_);
+void LabeledRouter::plan(const MulticastRequest& request, worm::WormPlan& out) const {
+  plan_with_suite(*this, suite_.topology(), suite_.labeling(), request, out);
 }
 
 }  // namespace mcnet::mcast

@@ -4,7 +4,8 @@
 // conversion through its own std::function glue.
 //
 // A Router is bound to one topology, one algorithm and one channel-copy
-// count; it produces routes and their simulator-facing worm specs.
+// count; it produces routes (the analysis shape) and worm plans (the
+// network shape).
 // Implementations are immutable after construction and safe to share
 // across threads, so parallel experiment sweeps can route through a single
 // instance (see CachingRouter in core/route_cache.hpp for the memoizing
@@ -47,16 +48,20 @@ class Router {
   [[nodiscard]] virtual RouteBatch route_many(
       std::span<const MulticastRequest> requests) const;
 
-  /// Convert a route into worm specs, applying the topology's channel-copy
-  /// pinning policy with the copy count the router was built with.
-  [[nodiscard]] virtual std::vector<worm::WormSpec> specs(const MulticastRoute& route) const = 0;
+  /// Route one request straight into its network shape: `out` receives
+  /// exactly the worms plan_route(route(request)) would, with its capacity
+  /// reused.  The default does just that; the mesh, cube and labeled
+  /// routers override it for the dual-, multi- and fixed-path algorithms
+  /// with one label walk that writes channels into `out` without building
+  /// the route, and CachingRouter serves it from compact cached plans.
+  virtual void plan(const MulticastRequest& request, worm::WormPlan& out) const;
 
-  /// Worm specs for one batch element (route_at(index) + specs()).  Named
-  /// distinctly so derived-class `specs` overrides don't hide it.
-  [[nodiscard]] std::vector<worm::WormSpec> batch_specs(const RouteBatch& batch,
-                                                        std::size_t index) const {
-    return specs(batch.route_at(index));
-  }
+  /// The one route -> plan conversion (worm::route_to_plan) with this
+  /// router's topology and channel-copy count.
+  void plan_route(const MulticastRoute& route, worm::WormPlan& out) const;
+
+  /// Vector form of plan_route, for callers that want WormSpecs.
+  [[nodiscard]] virtual std::vector<worm::WormSpec> specs(const MulticastRoute& route) const;
 
   /// Algorithm name (stable, matches algorithm_name()).
   [[nodiscard]] virtual std::string_view name() const = 0;
@@ -66,12 +71,6 @@ class Router {
   [[nodiscard]] virtual bool deadlock_free() const = 0;
   [[nodiscard]] virtual const topo::Topology& topology() const = 0;
   [[nodiscard]] virtual std::uint8_t channel_copies() const = 0;
-
-  /// route() + specs() in one call: the traffic-generator hot path.
-  [[nodiscard]] std::vector<worm::WormSpec> build(
-      topo::NodeId source, const std::vector<topo::NodeId>& destinations) const {
-    return specs(route(MulticastRequest{source, destinations}));
-  }
 };
 
 /// True for the algorithms whose worm subnetworks are provably acyclic
@@ -118,7 +117,7 @@ class MeshRouter final : public SuiteRouterBase {
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
   [[nodiscard]] RouteBatch route_many(
       std::span<const MulticastRequest> requests) const override;
-  [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
+  void plan(const MulticastRequest& request, worm::WormPlan& out) const override;
   [[nodiscard]] const topo::Topology& topology() const override { return suite_.mesh(); }
   [[nodiscard]] const MeshRoutingSuite& suite() const { return suite_; }
 
@@ -134,7 +133,7 @@ class CubeRouter final : public SuiteRouterBase {
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
   [[nodiscard]] RouteBatch route_many(
       std::span<const MulticastRequest> requests) const override;
-  [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
+  void plan(const MulticastRequest& request, worm::WormPlan& out) const override;
   [[nodiscard]] const topo::Topology& topology() const override { return suite_.cube(); }
   [[nodiscard]] const CubeRoutingSuite& suite() const { return suite_; }
 
@@ -152,7 +151,7 @@ class LabeledRouter final : public SuiteRouterBase {
   [[nodiscard]] MulticastRoute route(const MulticastRequest& request) const override;
   [[nodiscard]] RouteBatch route_many(
       std::span<const MulticastRequest> requests) const override;
-  [[nodiscard]] std::vector<worm::WormSpec> specs(const MulticastRoute& route) const override;
+  void plan(const MulticastRequest& request, worm::WormPlan& out) const override;
   [[nodiscard]] const topo::Topology& topology() const override { return suite_.topology(); }
   [[nodiscard]] const LabeledRoutingSuite& suite() const { return suite_; }
 

@@ -1,39 +1,11 @@
 #include "core/routing_function.hpp"
 
-#include <stdexcept>
+#include "core/label_walk.hpp"
 
 namespace mcnet::mcast {
 
 topo::NodeId LabelRouter::next_hop(topo::NodeId cur, topo::NodeId dst) const {
-  if (cur == dst) return topo::kInvalidNode;
-  const std::uint32_t lc = labeling_->label(cur);
-  const std::uint32_t ld = labeling_->label(dst);
-  const std::uint32_t dist = topology_->distance(cur, dst);
-  const bool high = lc < ld;
-
-  // Two passes: first the label-extremal neighbour among those that move
-  // strictly closer to the destination (the repaired Lemma 6.4 rule), then
-  // the literal max/min-label rule as a fallback (see header erratum).
-  for (const bool require_shorter : {true, false}) {
-    topo::NodeId best = topo::kInvalidNode;
-    std::uint32_t best_label = 0;
-    for (const topo::NodeId p : topology_->neighbors(cur)) {
-      const std::uint32_t lp = labeling_->label(p);
-      const bool monotone = high ? (lp > lc && lp <= ld) : (lp < lc && lp >= ld);
-      if (!monotone) continue;
-      if (require_shorter && topology_->distance(p, dst) >= dist) continue;
-      const bool better =
-          best == topo::kInvalidNode || (high ? lp > best_label : lp < best_label);
-      if (better) {
-        best = p;
-        best_label = lp;
-      }
-    }
-    if (best != topo::kInvalidNode) return best;
-  }
-  // The Hamiltonian-path neighbour at label l(cur) +/- 1 always qualifies
-  // for the fallback pass, so R can never be stuck.
-  throw std::logic_error("routing function R stuck");
+  return label_next_hop(*topology_, *labeling_, cur, dst);
 }
 
 PathRoute LabelRouter::route_path(topo::NodeId source, std::span<const topo::NodeId> targets,
@@ -42,25 +14,9 @@ PathRoute LabelRouter::route_path(topo::NodeId source, std::span<const topo::Nod
   PathRoute path;
   path.channel_class = channel_class;
   path.nodes.push_back(source);
-  topo::NodeId w = source;
-  if (forced_first_hop && !targets.empty()) {
-    if (!topology_->adjacent(source, *forced_first_hop)) {
-      throw std::invalid_argument("forced first hop is not a neighbour");
-    }
-    w = *forced_first_hop;
-    path.nodes.push_back(w);
-    // The forced hop may already be the first target.
-  }
-  for (const topo::NodeId d : targets) {
-    while (w != d) {
-      w = next_hop(w, d);
-      path.nodes.push_back(w);
-      if (path.nodes.size() > labeling_->size() + 1) {
-        throw std::logic_error("label routing loops");
-      }
-    }
-    path.delivery_hops.push_back(static_cast<std::uint32_t>(path.nodes.size() - 1));
-  }
+  PathRouteSink sink{path};
+  label_walk(*topology_, *labeling_, source, targets,
+             forced_first_hop.value_or(topo::kInvalidNode), sink);
   return path;
 }
 

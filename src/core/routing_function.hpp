@@ -7,7 +7,8 @@
 // Lemmas 6.1 / 6.4 claim that for the boustrophedon mesh labeling and the
 // Gray-code hypercube labeling R selects a shortest path that is monotone
 // in the labels, hence confined to one acyclic subnetwork.  The path worms
-// of the dual-, multi- and fixed-path algorithms are built on R.
+// of the dual-, multi- and fixed-path algorithms are built on R, which is
+// written once in label_walk.hpp; LabelRouter is its generic instance.
 //
 // ERRATUM (documented in DESIGN.md): on the hypercube the literal max-label
 // rule is NOT shortest -- e.g. in a 3-cube from 000 (label 0) to 101

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace mcnet::evsim {
 
@@ -15,23 +14,40 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 std::vector<topo::NodeId> Rng::sample_destinations(std::uint32_t num_nodes,
                                                    topo::NodeId source, std::uint32_t k) {
+  std::vector<topo::NodeId> result;
+  sample_destinations_into(num_nodes, source, k, result);
+  return result;
+}
+
+void Rng::sample_destinations_into(std::uint32_t num_nodes, topo::NodeId source,
+                                   std::uint32_t k, std::vector<topo::NodeId>& out) {
   if (k + 1 > num_nodes) throw std::invalid_argument("too many destinations requested");
   // Sample k distinct values from [0, num_nodes - 2] (Floyd), then map past
-  // the source so it is never selected.
+  // the source so it is never selected.  The chosen set is one bit per
+  // value, all clear between calls.
   const std::uint32_t pool = num_nodes - 1;
-  std::unordered_set<std::uint32_t> chosen;
-  chosen.reserve(k * 2);
-  std::vector<topo::NodeId> result;
-  result.reserve(k);
+  thread_local std::vector<std::uint64_t> chosen;
+  if (chosen.size() * 64 < pool) chosen.resize((pool + 63) / 64, 0);
+  const auto insert = [](std::uint32_t v) {
+    std::uint64_t& word = chosen[v / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  };
+  out.clear();
+  out.reserve(k);
   for (std::uint32_t j = pool - k; j < pool; ++j) {
     const std::uint32_t t = uniform_int(0, j);
-    const std::uint32_t pick = chosen.insert(t).second ? t : j;
-    if (pick != t) chosen.insert(j);
-    const topo::NodeId node = pick >= source ? pick + 1 : pick;
-    result.push_back(node);
+    const std::uint32_t pick = insert(t) ? t : j;
+    if (pick != t) insert(j);
+    out.push_back(pick);
   }
-  std::shuffle(result.begin(), result.end(), engine_);
-  return result;
+  for (topo::NodeId& v : out) {
+    chosen[v / 64] &= ~(std::uint64_t{1} << (v % 64));
+    v = v >= source ? v + 1 : v;
+  }
+  std::shuffle(out.begin(), out.end(), engine_);
 }
 
 }  // namespace mcnet::evsim

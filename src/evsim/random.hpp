@@ -43,6 +43,12 @@ class Rng {
                                                               topo::NodeId source,
                                                               std::uint32_t k);
 
+  /// sample_destinations into `out` (replaced; its capacity is reused):
+  /// the same draws and the same result, with Floyd's chosen set kept in a
+  /// reused per-thread bitmap, so a warm call allocates nothing.
+  void sample_destinations_into(std::uint32_t num_nodes, topo::NodeId source, std::uint32_t k,
+                                std::vector<topo::NodeId>& out);
+
   [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -152,16 +152,40 @@ FaultRouteResult FaultAwareRouter::route_with_faults_synced(
   return result;
 }
 
+namespace {
+
+/// The plain Router interface has no channel for partial delivery.
+void throw_if_unreachable(const std::vector<NodeId>& unreachable,
+                          const mcast::MulticastRequest& request) {
+  if (unreachable.empty()) return;
+  throw std::runtime_error("multicast destination " + std::to_string(unreachable.front()) +
+                           " is unreachable in the degraded topology (" +
+                           std::to_string(unreachable.size()) + " of " +
+                           std::to_string(request.destinations.size()) + " cut off)");
+}
+
+}  // namespace
+
 mcast::MulticastRoute FaultAwareRouter::route(const mcast::MulticastRequest& request) const {
   FaultRouteResult result = route_with_faults(request);
-  if (!result.unreachable.empty()) {
-    throw std::runtime_error("multicast destination " +
-                             std::to_string(result.unreachable.front()) +
-                             " is unreachable in the degraded topology (" +
-                             std::to_string(result.unreachable.size()) + " of " +
-                             std::to_string(request.destinations.size()) + " cut off)");
-  }
+  throw_if_unreachable(result.unreachable, request);
   return std::move(result.route);
+}
+
+std::vector<NodeId> FaultAwareRouter::plan_with_faults(const mcast::MulticastRequest& request,
+                                                       worm::WormPlan& out) const {
+  sync_epoch();
+  if (faults_->healthy()) {
+    inner_->plan(request, out);
+    return {};
+  }
+  FaultRouteResult result = route_with_faults_synced(request);
+  plan_route(result.route, out);
+  return std::move(result.unreachable);
+}
+
+void FaultAwareRouter::plan(const mcast::MulticastRequest& request, worm::WormPlan& out) const {
+  throw_if_unreachable(plan_with_faults(request, out), request);
 }
 
 mcast::RouteBatch FaultAwareRouter::route_many(
@@ -177,14 +201,7 @@ mcast::RouteBatch FaultAwareRouter::route_many(
   batch.reserve(requests.size());
   for (const mcast::MulticastRequest& request : requests) {
     FaultRouteResult result = route_with_faults_synced(request);
-    if (!result.unreachable.empty()) {
-      throw std::runtime_error("multicast destination " +
-                               std::to_string(result.unreachable.front()) +
-                               " is unreachable in the degraded topology (" +
-                               std::to_string(result.unreachable.size()) + " of " +
-                               std::to_string(request.destinations.size()) +
-                               " cut off)");
-    }
+    throw_if_unreachable(result.unreachable, request);
     batch.append(result.route);
   }
   return batch;

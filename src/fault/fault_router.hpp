@@ -74,6 +74,18 @@ class FaultAwareRouter final : public mcast::Router {
   [[nodiscard]] mcast::RouteBatch route_many(
       std::span<const mcast::MulticastRequest> requests) const override;
 
+  /// route_with_faults() in network shape: `out` receives the plan of the
+  /// reachable destinations, and the unreachable ones are returned in
+  /// request order.  A healthy network takes the inner router's plan() (a
+  /// cache hit copies its compact plan); a degraded one routes with
+  /// route_with_faults() and converts with plan_route().
+  [[nodiscard]] std::vector<NodeId> plan_with_faults(const mcast::MulticastRequest& request,
+                                                     worm::WormPlan& out) const;
+
+  /// Router interface: plan_with_faults(), throwing std::runtime_error like
+  /// route() when any destination is unreachable.
+  void plan(const mcast::MulticastRequest& request, worm::WormPlan& out) const override;
+
   [[nodiscard]] std::vector<worm::WormSpec> specs(
       const mcast::MulticastRoute& route) const override {
     return inner_->specs(route);

@@ -74,10 +74,7 @@ void MulticastService::reliable_finalize(ReliableOp& op, topo::NodeId node,
 MulticastService::MulticastService(const mcast::Router& router,
                                    const worm::WormholeParams& params,
                                    evsim::Scheduler& sched)
-    : MulticastService(
-          router.topology(), params, sched,
-          [&router](const mcast::MulticastRequest& r) { return router.route(r); },
-          [&router](const mcast::MulticastRoute& r) { return router.specs(r); }) {
+    : MulticastService(router.topology(), params, sched, {}, {}) {
   router_ = &router;
 }
 
@@ -146,48 +143,60 @@ void MulticastService::set_metrics(obs::MetricsRegistry* registry) {
   network_->set_metrics(registry);
 }
 
-MulticastService::Handle MulticastService::multicast(const mcast::MulticastRequest& request,
-                                                     DeliveryFn on_delivery, DoneFn on_done) {
-  if (metrics_.active()) metrics_.multicasts->inc();
-  const mcast::MulticastRequest req = request.normalized(topology_->num_nodes());
-  const mcast::MulticastRoute route = route_(req);
+MulticastService::Handle MulticastService::send(const worm::WormPlan& plan, Pending pending) {
   // Register the callbacks under the id inject() is about to assign BEFORE
   // injecting: when every worm dies at injection time (route crossing
   // already-failed hardware), on_message_done fires synchronously inside
   // inject() and a late registration would silently drop the callback.
   const Handle h = network_->messages_injected();
-  if (on_delivery || on_done) {
-    pending_[h] = Pending{std::move(on_delivery), std::move(on_done)};
-  }
-  const Handle injected = network_->inject(specs_(route));
+  if (pending.on_delivery || pending.on_done) pending_[h] = std::move(pending);
+  struct Injecting {
+    bool& flag;
+    bool outer;
+    explicit Injecting(bool& f) : flag(f), outer(f) { flag = true; }
+    ~Injecting() { flag = outer; }
+    Injecting(const Injecting&) = delete;
+    Injecting& operator=(const Injecting&) = delete;
+  } injecting(injecting_);
+  const Handle injected = network_->inject(plan);
   (void)injected;  // == h: message ids are assigned sequentially
   return h;
+}
+
+MulticastService::Handle MulticastService::multicast(const mcast::MulticastRequest& request,
+                                                     DeliveryFn on_delivery, DoneFn on_done) {
+  if (metrics_.active()) metrics_.multicasts->inc();
+  // A hook fired inside inject() may send again while plan_ is being read;
+  // only the outermost send reuses it.
+  worm::WormPlan nested;
+  worm::WormPlan& plan = injecting_ ? nested : plan_;
+  if (router_ != nullptr) {
+    router_->plan(request, plan);  // routers normalize the request themselves
+  } else {
+    worm::specs_to_plan(specs_(route_(request.normalized(topology_->num_nodes()))), plan);
+  }
+  return send(plan, Pending{std::move(on_delivery), std::move(on_done)});
 }
 
 std::vector<MulticastService::Handle> MulticastService::multicast_many(
     std::span<const mcast::MulticastRequest> requests, DeliveryFn on_delivery,
     DoneFn on_done) {
+  if (metrics_.active() && !requests.empty()) metrics_.multicasts->inc(requests.size());
+  // Route every request before injecting any, so an invalid request throws
+  // with nothing sent.
+  std::vector<worm::WormPlan> plans(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (router_ != nullptr) {
+      router_->plan(requests[i], plans[i]);
+    } else {
+      worm::specs_to_plan(specs_(route_(requests[i].normalized(topology_->num_nodes()))),
+                          plans[i]);
+    }
+  }
   std::vector<Handle> handles;
   handles.reserve(requests.size());
-  if (metrics_.active() && !requests.empty()) metrics_.multicasts->inc(requests.size());
-  if (router_ == nullptr) {
-    // Custom RoutePolicy wiring has no batch router; the scalar loop keeps
-    // behaviour identical.
-    for (const mcast::MulticastRequest& request : requests) {
-      const mcast::MulticastRequest req = request.normalized(topology_->num_nodes());
-      const Handle h = network_->messages_injected();
-      if (on_delivery || on_done) pending_[h] = Pending{on_delivery, on_done};
-      (void)network_->inject(specs_(route_(req)));
-      handles.push_back(h);
-    }
-    return handles;
-  }
-  const mcast::RouteBatch batch = router_->route_many(requests);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Handle h = network_->messages_injected();
-    if (on_delivery || on_done) pending_[h] = Pending{on_delivery, on_done};
-    (void)network_->inject(router_->batch_specs(batch, i));
-    handles.push_back(h);
+  for (const worm::WormPlan& plan : plans) {
+    handles.push_back(send(plan, Pending{on_delivery, on_done}));
   }
   return handles;
 }
@@ -250,16 +259,17 @@ void MulticastService::reliable_attempt(const std::shared_ptr<ReliableOp>& op,
   if (attempt > 1 && metrics_.active()) metrics_.retries->inc();
   // Route around everything failed *now*; partitioned destinations are
   // terminal immediately (no point burning the retry budget on them).
-  const fault::FaultRouteResult routed =
-      fault_router_->route_with_faults({op->source, destinations});
-  for (const topo::NodeId u : routed.unreachable) {
+  worm::WormPlan nested;
+  worm::WormPlan& plan = injecting_ ? nested : plan_;
+  const std::vector<topo::NodeId> unreachable =
+      fault_router_->plan_with_faults({op->source, destinations}, plan);
+  for (const topo::NodeId u : unreachable) {
     reliable_finalize(*op, u, DeliveryReport::Status::kUnreachable, attempt, -1.0);
   }
   std::vector<topo::NodeId> routable;
   routable.reserve(destinations.size());
   {
-    std::unordered_set<topo::NodeId> cut(routed.unreachable.begin(),
-                                         routed.unreachable.end());
+    std::unordered_set<topo::NodeId> cut(unreachable.begin(), unreachable.end());
     for (const topo::NodeId d : destinations) {
       if (cut.find(d) == cut.end()) routable.push_back(d);
     }
@@ -272,25 +282,21 @@ void MulticastService::reliable_attempt(const std::shared_ptr<ReliableOp>& op,
   auto att = std::make_shared<AttemptTrack>();
   att->remaining.insert(routable.begin(), routable.end());
 
-  std::vector<worm::WormSpec> specs = specs_(routed.route);
-  if (specs.empty()) {
+  if (plan.empty()) {
     // Defensive: nothing to inject means nothing can deliver; go straight
     // to the retry/terminal path instead of waiting out the timeout.
     reliable_attempt_done(op, att, attempt);
     return;
   }
-  // Register before injecting: a fully-killed-at-injection message fires
-  // on_message_done synchronously inside inject().
-  const Handle h = network_->messages_injected();
-  pending_[h] = Pending{
-      [op, att, attempt](topo::NodeId dest, double latency) {
-        if (att->settled || att->remaining.erase(dest) == 0) return;
-        reliable_finalize(*op, dest, DeliveryReport::Status::kDelivered, attempt,
-                             latency);
-        if (op->on_delivery) op->on_delivery(dest, latency);
-      },
-      [this, op, att, attempt](double) { reliable_attempt_done(op, att, attempt); }};
-  (void)network_->inject(std::move(specs));
+  const Handle h = send(
+      plan,
+      Pending{[op, att, attempt](topo::NodeId dest, double latency) {
+                if (att->settled || att->remaining.erase(dest) == 0) return;
+                reliable_finalize(*op, dest, DeliveryReport::Status::kDelivered, attempt,
+                                  latency);
+                if (op->on_delivery) op->on_delivery(dest, latency);
+              },
+              [this, op, att, attempt](double) { reliable_attempt_done(op, att, attempt); }});
 
   // Timeout backstop: whatever is still in flight when it expires is
   // aborted, which drops the undelivered destinations and fires the done

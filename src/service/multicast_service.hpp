@@ -140,17 +140,17 @@ class MulticastService {
   using ReportFn = std::function<void(const DeliveryReport&)>;
 
   /// Send `request` (normalised: duplicate destinations deduped, source in
-  /// the destination set rejected); callbacks are optional.
+  /// the destination set rejected); callbacks are optional.  With a Router
+  /// the request is planned straight into a reused worm plan (a route-cache
+  /// hit copies its compact plan) instead of building a route and specs.
   Handle multicast(const mcast::MulticastRequest& request, DeliveryFn on_delivery = {},
                    DoneFn on_done = {});
 
-  /// Batch send: all requests are routed in one Router::route_many call
-  /// (shared normalization scratch, grouped cache lookups, arena-backed
-  /// batch) and then injected in request order.  Handle i corresponds to
-  /// requests[i]; the optional callbacks are attached to every message
-  /// (on_delivery already receives the destination, and handles let callers
-  /// correlate on_done).  Services built with a custom RoutePolicy fall
-  /// back to the scalar loop, so behaviour is identical either way.
+  /// Batch send: every request is planned first (so an invalid one throws
+  /// with nothing sent), then all are injected in request order.  Handle i
+  /// corresponds to requests[i]; the optional callbacks are attached to
+  /// every message (on_delivery already receives the destination, and
+  /// handles let callers correlate on_done).
   std::vector<Handle> multicast_many(std::span<const mcast::MulticastRequest> requests,
                                      DeliveryFn on_delivery = {}, DoneFn on_done = {});
 
@@ -200,6 +200,14 @@ class MulticastService {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
+  struct Pending {
+    DeliveryFn on_delivery;
+    DoneFn on_done;
+  };
+
+  /// Register `pending` under the next message id and inject `plan`.
+  Handle send(const worm::WormPlan& plan, Pending pending);
+
   struct ReliableOp;     // one reliable multicast (defined in the .cpp)
   struct AttemptTrack;   // one attempt of it
 
@@ -231,17 +239,18 @@ class MulticastService {
   std::unique_ptr<worm::Network> network_;
   RoutePolicy route_;
   SpecPolicy specs_;
-  /// Set by the Router constructors; enables the multicast_many batch path.
+  /// Set by the Router constructors: sends plan through it (route_/specs_
+  /// are the custom-policy path).
   const mcast::Router* router_ = nullptr;
   const fault::FaultAwareRouter* fault_router_ = nullptr;
   std::uint64_t next_reliable_id_ = 0;
   Metrics metrics_;
 
-  struct Pending {
-    DeliveryFn on_delivery;
-    DoneFn on_done;
-  };
   std::unordered_map<std::uint64_t, Pending> pending_;
+  /// Reused send buffer; `injecting_` is set while inject() reads it, so a
+  /// send from inside a network hook plans into a buffer of its own.
+  worm::WormPlan plan_;
+  bool injecting_ = false;
 };
 
 }  // namespace mcnet::svc

@@ -1,6 +1,5 @@
 #include "wormhole/channel_pool.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mcnet::worm {
@@ -38,8 +37,37 @@ std::optional<std::uint8_t> ChannelPool::acquire(ChannelId c, const ChannelReque
       return k;
     }
   }
-  queues_[c].push_back(req);
+  std::uint32_t node = free_;
+  if (node != kNil) {
+    free_ = nodes_[node].next;
+    nodes_[node] = Node{req, kNil};
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({req, kNil});
+  }
+  Queue& q = queues_[c];
+  if (q.tail == kNil) {
+    q.head = node;
+  } else {
+    nodes_[q.tail].next = node;
+  }
+  q.tail = node;
+  ++q.size;
   return std::nullopt;
+}
+
+void ChannelPool::unlink(ChannelId c, std::uint32_t prev, std::uint32_t node) {
+  Queue& q = queues_[c];
+  const std::uint32_t next = nodes_[node].next;
+  if (prev == kNil) {
+    q.head = next;
+  } else {
+    nodes_[prev].next = next;
+  }
+  if (q.tail == node) q.tail = prev;
+  --q.size;
+  nodes_[node].next = free_;
+  free_ = node;
 }
 
 std::optional<std::pair<ChannelRequest, std::uint8_t>> ChannelPool::release(
@@ -48,34 +76,63 @@ std::optional<std::pair<ChannelRequest, std::uint8_t>> ChannelPool::release(
   if (slot == kNoWorm) throw std::logic_error("releasing a free channel");
   slot = kNoWorm;
   --busy_;
-  auto& q = queues_[c];
-  // Collect the compatible waiters, then arbitrate (Section 2.3.3).
-  std::vector<std::size_t> compatible;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (q[i].copy == kAnyCopy || q[i].copy == static_cast<std::int8_t>(copy)) {
-      compatible.push_back(i);
-      if (arbitration_ == Arbitration::kFcfs) break;  // first wins
+  // Arbitrate among the waiters compatible with the freed copy (Section
+  // 2.3.3): FCFS takes the first, oldest-first the first of the smallest
+  // priority, random the r-th of the compatible ones.
+  const auto compatible = [copy](const ChannelRequest& r) {
+    return r.copy == kAnyCopy || r.copy == static_cast<std::int8_t>(copy);
+  };
+  std::uint32_t pick = kNil;
+  std::uint32_t pick_prev = kNil;
+  if (arbitration_ == Arbitration::kRandom) {
+    std::uint32_t count = 0;
+    for (std::uint32_t n = queues_[c].head; n != kNil; n = nodes_[n].next) {
+      if (compatible(nodes_[n].request)) ++count;
     }
-  }
-  if (compatible.empty()) return std::nullopt;
-  std::size_t pick = compatible.front();
-  if (arbitration_ == Arbitration::kOldestFirst) {
-    for (const std::size_t i : compatible) {
-      if (priority_(q[i].worm_id) < priority_(q[pick].worm_id)) pick = i;
+    if (count == 0) return std::nullopt;
+    std::uint32_t skip = rng_.uniform_int(0, count - 1);
+    for (std::uint32_t prev = kNil, n = queues_[c].head; n != kNil;
+         prev = n, n = nodes_[n].next) {
+      if (compatible(nodes_[n].request) && skip-- == 0) {
+        pick = n;
+        pick_prev = prev;
+        break;
+      }
     }
-  } else if (arbitration_ == Arbitration::kRandom) {
-    pick = compatible[rng_.uniform_int(0, static_cast<std::uint32_t>(compatible.size() - 1))];
+  } else {
+    for (std::uint32_t prev = kNil, n = queues_[c].head; n != kNil;
+         prev = n, n = nodes_[n].next) {
+      if (!compatible(nodes_[n].request)) continue;
+      if (pick == kNil || (arbitration_ == Arbitration::kOldestFirst &&
+                           priority_(nodes_[n].request.worm_id) <
+                               priority_(nodes_[pick].request.worm_id))) {
+        pick = n;
+        pick_prev = prev;
+        if (arbitration_ == Arbitration::kFcfs) break;  // first wins
+      }
+    }
+    if (pick == kNil) return std::nullopt;
   }
-  const ChannelRequest req = q[pick];
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+  const ChannelRequest req = nodes_[pick].request;
+  unlink(c, pick_prev, pick);
   holder_[index(c, copy)] = req.worm_id;
   ++busy_;
   return std::make_pair(req, copy);
 }
 
+std::vector<ChannelRequest> ChannelPool::waiters(ChannelId c) const {
+  std::vector<ChannelRequest> out;
+  out.reserve(queues_[c].size);
+  for (std::uint32_t n = queues_[c].head; n != kNil; n = nodes_[n].next) {
+    out.push_back(nodes_[n].request);
+  }
+  return out;
+}
+
 bool ChannelPool::retarget(ChannelId c, std::uint32_t old_worm, std::uint32_t old_link,
                            std::uint32_t new_worm, std::uint32_t new_link) {
-  for (ChannelRequest& r : queues_[c]) {
+  for (std::uint32_t n = queues_[c].head; n != kNil; n = nodes_[n].next) {
+    ChannelRequest& r = nodes_[n].request;
     if (r.worm_id == old_worm && r.link_index == old_link) {
       r.worm_id = new_worm;
       r.link_index = new_link;
@@ -86,8 +143,17 @@ bool ChannelPool::retarget(ChannelId c, std::uint32_t old_worm, std::uint32_t ol
 }
 
 void ChannelPool::cancel_requests(std::uint32_t worm_id) {
-  for (auto& q : queues_) {
-    std::erase_if(q, [worm_id](const ChannelRequest& r) { return r.worm_id == worm_id; });
+  for (ChannelId c = 0; c < queues_.size(); ++c) {
+    std::uint32_t prev = kNil;
+    for (std::uint32_t n = queues_[c].head; n != kNil;) {
+      const std::uint32_t next = nodes_[n].next;
+      if (nodes_[n].request.worm_id == worm_id) {
+        unlink(c, prev, n);
+      } else {
+        prev = n;
+      }
+      n = next;
+    }
   }
 }
 

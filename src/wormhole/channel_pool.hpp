@@ -8,10 +8,14 @@
 // each quadrant subnetwork to its own copy, which is what makes them
 // deadlock-free) or accept any copy (the path algorithms' subnetworks are
 // acyclic regardless of copy).
+//
+// The per-channel queues are singly linked lists threaded through one
+// shared request store (freed slots are recycled), so an idle channel costs
+// 12 bytes and building the pool allocates two flat arrays instead of a
+// container per channel.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -73,9 +77,9 @@ class ChannelPool {
   [[nodiscard]] std::uint32_t holder(ChannelId c, std::uint8_t copy) const {
     return holder_[index(c, copy)];
   }
-  [[nodiscard]] const std::deque<ChannelRequest>& waiters(ChannelId c) const {
-    return queues_[c];
-  }
+  /// Channel `c`'s queued requests in FIFO order (a copy: for fault
+  /// handling and inspection, not the hot path).
+  [[nodiscard]] std::vector<ChannelRequest> waiters(ChannelId c) const;
   [[nodiscard]] std::uint8_t copies() const { return copies_; }
   [[nodiscard]] std::uint32_t num_channels() const {
     return static_cast<std::uint32_t>(queues_.size());
@@ -92,8 +96,24 @@ class ChannelPool {
   std::function<double(std::uint32_t)> priority_;
   evsim::Rng rng_;
   std::uint32_t busy_ = 0;
-  std::vector<std::uint32_t> holder_;           // per physical copy
-  std::vector<std::deque<ChannelRequest>> queues_;  // per logical channel
+  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  struct Node {
+    ChannelRequest request;
+    std::uint32_t next = kNil;
+  };
+  struct Queue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t size = 0;
+  };
+  /// Unlink `node` (whose predecessor is `prev`, kNil at the head) from
+  /// channel `c`'s queue and recycle its slot.
+  void unlink(ChannelId c, std::uint32_t prev, std::uint32_t node);
+
+  std::vector<std::uint32_t> holder_;  // per physical copy
+  std::vector<Queue> queues_;          // per logical channel
+  std::vector<Node> nodes_;            // every queued request; free slots chained
+  std::uint32_t free_ = kNil;          // head of the free-slot chain
 };
 
 }  // namespace mcnet::worm

@@ -41,16 +41,22 @@ void validate(const DynamicConfig& config) {
   }
 }
 
-/// Shared body of the two run_dynamic overloads; `make_driver` decides
-/// whether the TrafficDriver is wired to a RouteBuilder or to a Router
-/// (the latter enables TrafficConfig::route_batch prefetching).
-DynamicResult run_dynamic_impl(
-    const topo::Topology& topology, const DynamicConfig& config,
-    const std::function<TrafficDriver(evsim::Scheduler&, Network&)>& make_driver) {
+}  // namespace
+
+const char* termination_name(Termination t) {
+  switch (t) {
+    case Termination::kConverged: return "converged";
+    case Termination::kMaxMessages: return "max_messages";
+    case Termination::kMaxSimTime: return "max_sim_time";
+  }
+  return "unknown";
+}
+
+DynamicResult run_dynamic(const mcast::Router& router, const DynamicConfig& config) {
   validate(config);
   evsim::Scheduler sched;
-  Network network(topology, config.params, sched);
-  TrafficDriver driver = make_driver(sched, network);
+  Network network(router.topology(), config.params, sched);
+  TrafficDriver driver(sched, network, config.traffic, router);
   network.set_metrics(config.metrics);
 
   evsim::BatchMeans latency(config.batch_size, /*discard=*/1);
@@ -105,34 +111,6 @@ DynamicResult run_dynamic_impl(
       !result.converged && result.messages_injected > 0 &&
       result.messages_completed * 10 < result.messages_injected * 9;  // >10 % backlog
   return result;
-}
-
-}  // namespace
-
-const char* termination_name(Termination t) {
-  switch (t) {
-    case Termination::kConverged: return "converged";
-    case Termination::kMaxMessages: return "max_messages";
-    case Termination::kMaxSimTime: return "max_sim_time";
-  }
-  return "unknown";
-}
-
-DynamicResult run_dynamic(const topo::Topology& topology, const RouteBuilder& builder,
-                          const DynamicConfig& config) {
-  return run_dynamic_impl(topology, config,
-                          [&](evsim::Scheduler& sched, Network& network) {
-                            return TrafficDriver(sched, network, config.traffic, builder);
-                          });
-}
-
-DynamicResult run_dynamic(const mcast::Router& router, const DynamicConfig& config) {
-  // Hand the router itself to the driver (not just a builder closure) so
-  // TrafficConfig::route_batch > 1 can prefetch through route_many.
-  return run_dynamic_impl(router.topology(), config,
-                          [&](evsim::Scheduler& sched, Network& network) {
-                            return TrafficDriver(sched, network, config.traffic, router);
-                          });
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

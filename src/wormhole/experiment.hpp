@@ -77,12 +77,6 @@ struct DynamicResult {
   bool saturated = false;
 };
 
-/// Run one dynamic experiment on `topology` with the algorithm embodied by
-/// `builder`.
-[[nodiscard]] DynamicResult run_dynamic(const topo::Topology& topology,
-                                        const RouteBuilder& builder,
-                                        const DynamicConfig& config);
-
 /// Run one dynamic experiment routed through `router` on its own topology.
 [[nodiscard]] DynamicResult run_dynamic(const mcast::Router& router,
                                         const DynamicConfig& config);

@@ -8,10 +8,6 @@
 
 namespace mcnet::worm {
 
-namespace {
-constexpr std::uint8_t kNotGranted = 0xFF;
-}
-
 Network::Network(const topo::Topology& topology, const WormholeParams& params,
                  evsim::Scheduler& sched, std::shared_ptr<fault::FaultState> faults)
     : topology_(&topology),
@@ -78,39 +74,60 @@ double Network::utilization() const {
   return busy / (elapsed * static_cast<double>(acquired_at_.size()));
 }
 
-std::uint64_t Network::inject(std::vector<WormSpec> specs) {
+std::uint64_t Network::inject(const std::vector<WormSpec>& specs) {
+  WormPlan plan;
+  specs_to_plan(specs, plan);
+  return inject(plan);
+}
+
+std::uint64_t Network::inject(const WormPlan& plan) {
   const std::uint64_t msg = next_message_++;
-  messages_.push_back(Message{sched_->now(), static_cast<std::uint32_t>(specs.size())});
+  messages_.push_back(Message{sched_->now(), static_cast<std::uint32_t>(plan.size())});
   if (metrics_.active()) metrics_.injections->inc();
   if (hooks_.on_inject) hooks_.on_inject(msg, sched_->now());
-  if (specs.empty()) {
+  if (plan.empty()) {
     ++messages_completed_;
     if (hooks_.on_message_done) hooks_.on_message_done(msg, 0.0);
     return msg;
   }
-  for (WormSpec& spec : specs) {
+  for (std::size_t i = 0; i < plan.size(); ++i) {
     const std::uint32_t id = allocate_worm();
     Worm& w = worms_[id];
-    w = Worm{};
-    w.message = msg;
-    w.t_created = sched_->now();
-    w.links = std::move(spec.links);
-    w.deliveries = std::move(spec.deliveries);
-    w.max_depth = w.links.back().depth;
-    w.copy_used.assign(w.links.size(), kNotGranted);
-    // depth_start[d] = first link index at depth >= d, for d in [1, max+1].
-    w.depth_start.assign(w.max_depth + 2, static_cast<std::uint32_t>(w.links.size()));
-    for (std::uint32_t i = w.links.size(); i-- > 0;) {
-      w.depth_start[w.links[i].depth] = i;
+    w.links.clear();
+    for (const PlanLink& l : plan.links(i)) {
+      w.links.push_back({l.channel, l.depth, l.copy, kNotGranted});
     }
-    for (std::uint32_t d = w.max_depth; d >= 1; --d) {
-      w.depth_start[d] = std::min(w.depth_start[d], w.depth_start[d + 1]);
-    }
+    const std::span<const Delivery> deliveries = plan.deliveries(i);
+    w.deliveries.assign(deliveries.begin(), deliveries.end());
+    init_worm(w, msg, sched_->now());
     w.active = true;
     ++active_worms_;
     begin_frontier(id);
   }
   return msg;
+}
+
+void Network::init_worm(Worm& w, std::uint64_t message, double t_created) {
+  if (w.links.empty()) throw std::logic_error("a worm needs at least one link");
+  w.message = message;
+  w.t_created = t_created;
+  w.max_depth = w.links.back().depth;
+  w.progress = 0;
+  w.frontier_begin = 0;
+  w.frontier_end = 0;
+  w.granted = 0;
+  w.next_delivery = 0;
+  w.next_release = 0;
+  w.block_started = -1.0;
+  w.blocked_time = 0.0;
+  w.pending = evsim::EventId{};
+  w.drain_t0 = 0.0;
+  w.active = false;
+}
+
+std::uint32_t Network::depth_end(const Worm& w, std::uint32_t from, std::uint32_t depth) {
+  while (from < w.links.size() && w.links[from].depth <= depth) ++from;
+  return from;
 }
 
 std::uint32_t Network::allocate_worm() {
@@ -126,9 +143,10 @@ std::uint32_t Network::allocate_worm() {
 
 void Network::begin_frontier(std::uint32_t worm_id) {
   Worm& w = worms_[worm_id];
-  const std::uint32_t depth = w.progress + 1;
-  w.frontier_begin = w.depth_start[depth];
-  w.frontier_end = w.depth_start[depth + 1];
+  // The previous frontier ended at the first link deeper than it, which is
+  // where this one (depth progress + 1) begins.
+  w.frontier_begin = w.frontier_end;
+  w.frontier_end = depth_end(w, w.frontier_begin, w.progress + 1);
   w.granted = 0;
   // A frontier touching failed hardware kills the worm: it can never be
   // granted, and letting it hold-and-wait would wedge the network.
@@ -142,10 +160,10 @@ void Network::begin_frontier(std::uint32_t worm_id) {
   }
   const std::uint32_t frontier_size = w.frontier_end - w.frontier_begin;
   for (std::uint32_t i = w.frontier_begin; i < w.frontier_end; ++i) {
-    const WormLink& link = w.links[i];
+    Link& link = w.links[i];
     if (const auto copy = pool_.acquire(link.channel, ChannelRequest{worm_id, i, link.copy})) {
       note_grant(link.channel, *copy);
-      w.copy_used[i] = *copy;
+      link.granted = *copy;
       ++w.granted;
     }
   }
@@ -179,25 +197,18 @@ void Network::vct_absorb(std::uint32_t worm_id) {
   // NOTE: `w` may dangle after allocate_worm (vector growth); re-fetch.
   Worm& old_w = worms_[worm_id];
   Worm& cw = worms_[cont];
-  cw = Worm{};
-  cw.message = old_w.message;
-  cw.t_created = old_w.t_created;
   cw.links.assign(old_w.links.begin() + blocked, old_w.links.end());
-  for (WormLink& l : cw.links) l.depth -= p;
+  for (Link& l : cw.links) {
+    l.depth -= p;
+    l.granted = kNotGranted;
+  }
+  cw.deliveries.clear();
   for (const auto& [depth, dest] : old_w.deliveries) {
     if (depth > p) cw.deliveries.emplace_back(depth - p, dest);
   }
-  cw.max_depth = cw.links.back().depth;
-  cw.copy_used.assign(cw.links.size(), 0xFF);
-  cw.depth_start.assign(cw.max_depth + 2, static_cast<std::uint32_t>(cw.links.size()));
-  for (std::uint32_t i = static_cast<std::uint32_t>(cw.links.size()); i-- > 0;) {
-    cw.depth_start[cw.links[i].depth] = i;
-  }
-  for (std::uint32_t d = cw.max_depth; d >= 1; --d) {
-    cw.depth_start[d] = std::min(cw.depth_start[d], cw.depth_start[d + 1]);
-  }
+  init_worm(cw, old_w.message, old_w.t_created);
   cw.frontier_begin = 0;
-  cw.frontier_end = cw.depth_start[2];
+  cw.frontier_end = depth_end(cw, 0, 1);
   cw.granted = 0;
   cw.block_started = sched_->now();  // it is waiting from birth
   cw.blocked_time = old_w.blocked_time;
@@ -215,14 +226,13 @@ void Network::vct_absorb(std::uint32_t worm_id) {
   std::erase_if(old_w.deliveries, [p](const auto& d) { return d.first > p; });
   old_w.next_delivery = std::min<std::uint32_t>(
       old_w.next_delivery, static_cast<std::uint32_t>(old_w.deliveries.size()));
-  old_w.copy_used.resize(blocked);
   old_w.max_depth = p;
   drain(worm_id);
 }
 
 void Network::on_grant(std::uint32_t worm_id, std::uint32_t link_index, std::uint8_t copy) {
   Worm& w = worms_[worm_id];
-  w.copy_used[link_index] = copy;
+  w.links[link_index].granted = copy;
   ++w.granted;
   if (w.granted == w.frontier_end - w.frontier_begin) {
     if (w.block_started >= 0.0) {
@@ -241,7 +251,7 @@ void Network::arm_advance(std::uint32_t worm_id) {
 }
 
 void Network::release_link(Worm& w, std::uint32_t link_index) {
-  const std::uint8_t copy = w.copy_used[link_index];
+  const std::uint8_t copy = w.links[link_index].granted;
   if (copy == kNotGranted) throw std::logic_error("releasing an ungranted link");
   const ChannelId channel = w.links[link_index].channel;
   note_release(channel, copy);
@@ -388,11 +398,6 @@ void Network::finish_worm(std::uint32_t worm_id) {
   {
     Worm& w = worms_[worm_id];
     w.active = false;
-    w.links.clear();
-    w.links.shrink_to_fit();
-    w.deliveries.clear();
-    w.copy_used.clear();
-    w.depth_start.clear();
   }
   --active_worms_;
   free_worm_slots_.push_back(worm_id);
@@ -436,7 +441,7 @@ void Network::kill_worm(std::uint32_t worm_id) {
   const std::uint32_t num_links = static_cast<std::uint32_t>(worms_[worm_id].links.size());
   for (std::uint32_t i = worms_[worm_id].next_release; i < num_links; ++i) {
     Worm& w = worms_[worm_id];
-    if (w.copy_used[i] == kNotGranted) continue;
+    if (w.links[i].granted == kNotGranted) continue;
     release_link(w, i);
   }
 
@@ -451,11 +456,6 @@ void Network::kill_worm(std::uint32_t worm_id) {
   {
     Worm& w = worms_[worm_id];
     w.active = false;
-    w.links.clear();
-    w.links.shrink_to_fit();
-    w.deliveries.clear();
-    w.copy_used.clear();
-    w.depth_start.clear();
   }
   --active_worms_;
   free_worm_slots_.push_back(worm_id);
@@ -530,8 +530,8 @@ std::vector<std::uint32_t> Network::find_deadlock() const {
     const Worm& w = worms_[id];
     if (!w.blocked()) continue;
     for (std::uint32_t i = w.frontier_begin; i < w.frontier_end; ++i) {
-      if (w.copy_used[i] != kNotGranted) continue;
-      const WormLink& link = w.links[i];
+      if (w.links[i].granted != kNotGranted) continue;
+      const Link& link = w.links[i];
       for (std::uint8_t k = 0; k < pool_.copies(); ++k) {
         if (link.copy != kAnyCopy && link.copy != static_cast<std::int8_t>(k)) continue;
         const std::uint32_t holder = pool_.holder(link.channel, k);
@@ -575,6 +575,10 @@ std::vector<std::uint32_t> Network::find_deadlock() const {
 std::string Network::describe_worm(std::uint32_t worm_id) const {
   const Worm& w = worms_[worm_id];
   std::ostringstream os;
+  const auto hop = [&](std::uint32_t i) {
+    const topo::ChannelEnds ends = topology_->channel_ends(w.links[i].channel);
+    os << "[" << ends.from << "->" << ends.to << "]";
+  };
   os << "worm " << worm_id << " (message " << w.message << ", progress " << w.progress << "/"
      << w.max_depth << ")";
   if (!w.active) {
@@ -584,9 +588,10 @@ std::string Network::describe_worm(std::uint32_t worm_id) const {
   os << " holds {";
   bool first = true;
   for (std::uint32_t i = 0; i < w.links.size(); ++i) {
-    if (w.copy_used[i] == kNotGranted) continue;
+    if (w.links[i].granted == kNotGranted) continue;
     if (i < w.next_release) continue;  // already released
-    os << (first ? "" : ", ") << "[" << w.links[i].from << "->" << w.links[i].to << "]";
+    os << (first ? "" : ", ");
+    hop(i);
     first = false;
   }
   os << "}";
@@ -594,8 +599,9 @@ std::string Network::describe_worm(std::uint32_t worm_id) const {
     os << " waits {";
     first = true;
     for (std::uint32_t i = w.frontier_begin; i < w.frontier_end; ++i) {
-      if (w.copy_used[i] != kNotGranted) continue;
-      os << (first ? "" : ", ") << "[" << w.links[i].from << "->" << w.links[i].to << "]";
+      if (w.links[i].granted != kNotGranted) continue;
+      os << (first ? "" : ", ");
+    hop(i);
       first = false;
     }
     os << "}";

@@ -82,12 +82,20 @@ class Network {
   Network(const topo::Topology& topology, const WormholeParams& params,
           evsim::Scheduler& sched, std::shared_ptr<fault::FaultState> faults = nullptr);
 
-  /// Inject a multicast as a set of worms created at the current simulated
-  /// time; returns the message id.  Worms routed over already-failed
-  /// channels are killed immediately (their destinations drop).
-  std::uint64_t inject(std::vector<WormSpec> specs);
+  /// Inject a multicast as the worms of `plan`, created at the current
+  /// simulated time; returns the message id.  The worms are copied into
+  /// recycled slots that keep their capacity, so steady-state injection
+  /// allocates nothing.  `plan` is read while the worms start, and hooks
+  /// may fire in that time: a hook that injects again must not reuse it.
+  /// Worms routed over already-failed channels are killed immediately
+  /// (their destinations drop).
+  std::uint64_t inject(const WormPlan& plan);
+  /// Adaptor for hand-built worm specs (same semantics).
+  std::uint64_t inject(const std::vector<WormSpec>& specs);
 
   void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
+  /// The installed hooks (copy, extend, set_hooks to add an observer).
+  [[nodiscard]] const NetworkHooks& hooks() const { return hooks_; }
 
   /// Register this network's instruments on `registry` (nullptr detaches):
   /// counters network.injections / .deliveries / .drops / .worms_killed,
@@ -147,13 +155,21 @@ class Network {
   [[nodiscard]] std::string describe_worm(std::uint32_t worm_id) const;
 
  private:
+  static constexpr std::uint8_t kNotGranted = 0xFF;
+
+  /// A planned link and the physical copy granted to it.
+  struct Link {
+    ChannelId channel = topo::kInvalidChannel;
+    std::uint32_t depth = 1;
+    std::int8_t copy = kAnyCopy;
+    std::uint8_t granted = kNotGranted;
+  };
+
   struct Worm {
     std::uint64_t message = 0;
     double t_created = 0.0;
-    std::vector<WormLink> links;
-    std::vector<std::pair<std::uint32_t, NodeId>> deliveries;
-    std::vector<std::uint32_t> depth_start;  // index of first link at each depth
-    std::vector<std::uint8_t> copy_used;     // granted copy per link
+    std::vector<Link> links;  // depth-sorted; the frontier is a run of them
+    std::vector<Delivery> deliveries;
     std::uint32_t progress = 0;
     std::uint32_t max_depth = 0;
     std::uint32_t frontier_begin = 0;
@@ -186,6 +202,14 @@ class Network {
   void note_grant(ChannelId c, std::uint8_t copy);
   void note_release(ChannelId c, std::uint8_t copy);
 
+  /// Reset a slot whose links/deliveries were just filled in place (their
+  /// capacity is kept across incarnations): derive max_depth and zero the
+  /// progress state.
+  void init_worm(Worm& w, std::uint64_t message, double t_created);
+  /// One past the last link of `w` at depth <= `depth`, scanning from
+  /// `from` (links are depth-sorted).
+  [[nodiscard]] static std::uint32_t depth_end(const Worm& w, std::uint32_t from,
+                                               std::uint32_t depth);
   void begin_frontier(std::uint32_t worm_id);
   void vct_absorb(std::uint32_t worm_id);
   std::uint32_t allocate_worm();

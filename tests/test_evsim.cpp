@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -7,6 +8,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "evsim/facility.hpp"
@@ -223,6 +225,45 @@ TEST(Random, SampleDestinationsFullNetwork) {
   EXPECT_EQ(set.size(), 15u);
   EXPECT_FALSE(set.contains(3u));
   EXPECT_THROW((void)rng.sample_destinations(16, 3, 16), std::invalid_argument);
+}
+
+/// The hash-set Floyd sampler sample_destinations_into replaced, kept
+/// verbatim as the bit-equality reference.
+std::vector<mcnet::topo::NodeId> reference_sample(Rng& rng, std::uint32_t num_nodes,
+                                                  mcnet::topo::NodeId source, std::uint32_t k) {
+  const std::uint32_t pool = num_nodes - 1;
+  std::unordered_set<std::uint32_t> chosen;
+  chosen.reserve(k * 2);
+  std::vector<mcnet::topo::NodeId> result;
+  result.reserve(k);
+  for (std::uint32_t j = pool - k; j < pool; ++j) {
+    const std::uint32_t t = rng.uniform_int(0, j);
+    const std::uint32_t pick = chosen.insert(t).second ? t : j;
+    if (pick != t) chosen.insert(j);
+    result.push_back(pick >= source ? pick + 1 : pick);
+  }
+  std::shuffle(result.begin(), result.end(), rng.engine());
+  return result;
+}
+
+TEST(Random, SampleDestinationsIntoIsBitEqualToTheHashSetSampler) {
+  std::vector<mcnet::topo::NodeId> out = {99, 98};  // stale contents are replaced
+  for (const std::uint32_t n : {2u, 3u, 16u, 64u, 1024u}) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      Rng ref(seed);
+      Rng got(seed);
+      for (const mcnet::topo::NodeId source : {0u, n / 2, n - 1}) {
+        for (const std::uint32_t k : {1u, (n - 1) / 2 + 1, n - 1}) {
+          if (k == 0 || k > n - 1) continue;
+          const auto want = reference_sample(ref, n, source, k);
+          got.sample_destinations_into(n, source, k, out);
+          ASSERT_EQ(out, want) << "n=" << n << " source=" << source << " k=" << k;
+          // The same draws were consumed: the streams stay in lock-step.
+          ASSERT_EQ(ref.uniform_int(0, 1u << 30), got.uniform_int(0, 1u << 30));
+        }
+      }
+    }
+  }
 }
 
 TEST(Summary, HandlesEdgeCases) {

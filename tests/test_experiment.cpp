@@ -10,28 +10,16 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "wormhole/experiment.hpp"
 
 namespace {
 
 using namespace mcnet;
 using mcast::Algorithm;
-using mcast::MeshRoutingSuite;
 using topo::Mesh2D;
-using topo::NodeId;
 using worm::DynamicConfig;
 using worm::DynamicResult;
-using worm::RouteBuilder;
-
-RouteBuilder make_builder(const MeshRoutingSuite& suite, Algorithm algo,
-                          std::uint8_t copies) {
-  return [&suite, algo, copies](NodeId src, const std::vector<NodeId>& dests) {
-    return worm::make_worm_specs(suite.mesh(),
-                                 suite.route(algo, mcast::MulticastRequest{src, dests}),
-                                 copies);
-  };
-}
 
 /// A light 4x4 run small enough to stop for any of the three reasons.
 DynamicConfig small_config() {
@@ -51,8 +39,7 @@ DynamicConfig small_config() {
 
 DynamicResult run_small(const DynamicConfig& cfg) {
   const Mesh2D mesh(4, 4);
-  const MeshRoutingSuite suite(mesh);
-  return run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  return run_dynamic(*mcast::make_router(mesh, Algorithm::kDualPath, 1), cfg);
 }
 
 TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
@@ -60,7 +47,6 @@ TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
   // the contention-free value (distance + L - 1 flit times) and the run
   // must converge.
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 10e-3,  // essentially no contention
@@ -73,7 +59,7 @@ TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
   cfg.max_sim_time_s = 10.0;
   cfg.batch_size = 300;
   const DynamicResult r =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+      run_dynamic(*mcast::make_router(mesh, Algorithm::kDualPath, 1), cfg);
   EXPECT_TRUE(r.converged);
   EXPECT_FALSE(r.saturated);
   EXPECT_GT(r.deliveries, 1000u);
@@ -85,7 +71,6 @@ TEST(DynamicExperiment, LowLoadLatencyNearContentionFreeMinimum) {
 
 TEST(DynamicExperiment, LatencyIncreasesWithLoad) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   double prev = 0.0;
   for (const double interarrival : {5e-3, 400e-6, 150e-6}) {
     DynamicConfig cfg;
@@ -99,7 +84,7 @@ TEST(DynamicExperiment, LatencyIncreasesWithLoad) {
     cfg.max_messages = 3000;
     cfg.max_sim_time_s = 5.0;
     const DynamicResult r =
-        run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+        run_dynamic(*mcast::make_router(mesh, Algorithm::kDualPath, 1), cfg);
     EXPECT_GT(r.mean_latency_us, prev) << "interarrival " << interarrival;
     prev = r.mean_latency_us;
   }
@@ -107,7 +92,6 @@ TEST(DynamicExperiment, LatencyIncreasesWithLoad) {
 
 TEST(DynamicExperiment, DeterministicAcrossRuns) {
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 500e-6,
@@ -119,9 +103,9 @@ TEST(DynamicExperiment, DeterministicAcrossRuns) {
   cfg.max_messages = 600;
   cfg.max_sim_time_s = 2.0;
   const DynamicResult a =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kMultiPath, 1), cfg);
+      run_dynamic(*mcast::make_router(mesh, Algorithm::kMultiPath, 1), cfg);
   const DynamicResult b =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kMultiPath, 1), cfg);
+      run_dynamic(*mcast::make_router(mesh, Algorithm::kMultiPath, 1), cfg);
   EXPECT_DOUBLE_EQ(a.mean_latency_us, b.mean_latency_us);
   EXPECT_EQ(a.deliveries, b.deliveries);
   EXPECT_EQ(a.messages_completed, b.messages_completed);
@@ -131,7 +115,6 @@ TEST(DynamicExperiment, TreeOnDoubleChannelsCompletes) {
   // The double-channel X-first tree is deadlock-free: a dynamic run must
   // make progress and complete messages (Assertion 1 under load).
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 2};
   cfg.traffic = {.mean_interarrival_s = 600e-6,
@@ -143,7 +126,7 @@ TEST(DynamicExperiment, TreeOnDoubleChannelsCompletes) {
   cfg.max_messages = 1500;
   cfg.max_sim_time_s = 2.0;
   const DynamicResult r =
-      run_dynamic(mesh, make_builder(suite, Algorithm::kDCXFirstTree, 2), cfg);
+      run_dynamic(*mcast::make_router(mesh, Algorithm::kDCXFirstTree, 2), cfg);
   EXPECT_GT(r.messages_completed, 300u);
   EXPECT_GT(r.mean_latency_us, 0.0);
 }
@@ -196,7 +179,6 @@ TEST(ParallelFor, RethrowsWorkerExceptionInsteadOfTerminating) {
 
 TEST(DynamicExperiment, TinyRunReportsInvalidConfidenceInterval) {
   const Mesh2D mesh(4, 4);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 16, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 200e-6,
@@ -210,7 +192,7 @@ TEST(DynamicExperiment, TinyRunReportsInvalidConfidenceInterval) {
   cfg.max_messages = 4;
   cfg.max_sim_time_s = 0.5;
   cfg.batch_size = 1000;
-  const DynamicResult r = run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  const DynamicResult r = run_dynamic(*mcast::make_router(mesh, Algorithm::kDualPath, 1), cfg);
   EXPECT_FALSE(r.ci_valid);
   EXPECT_TRUE(std::isnan(r.ci_half_us));
   EXPECT_GT(r.deliveries, 0u);
@@ -230,7 +212,6 @@ TEST(DynamicExperiment, PinnedNearKneePointIsBitExact) {
   // stop time and message count are pinned to the bit: any change to the
   // batch-means arithmetic or to where the loop stops moves them.
   const Mesh2D mesh(8, 8);
-  const MeshRoutingSuite suite(mesh);
   DynamicConfig cfg;
   cfg.params = {.flit_time = 50e-9, .message_flits = 128, .channel_copies = 1};
   cfg.traffic = {.mean_interarrival_s = 400e-6,
@@ -242,7 +223,7 @@ TEST(DynamicExperiment, PinnedNearKneePointIsBitExact) {
   cfg.max_messages = 20000;
   cfg.max_sim_time_s = 5.0;
   cfg.batch_size = 200;
-  const DynamicResult r = run_dynamic(mesh, make_builder(suite, Algorithm::kDualPath, 1), cfg);
+  const DynamicResult r = run_dynamic(*mcast::make_router(mesh, Algorithm::kDualPath, 1), cfg);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.termination, worm::Termination::kConverged);
   EXPECT_EQ(r.messages_completed, 7810u);

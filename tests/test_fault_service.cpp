@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -364,6 +365,86 @@ TEST(FaultService, RetryJitterIsDeterministicAndSpreadsBackoff) {
   // Total delay stays within the +-40% envelope of the 120us of backoff.
   EXPECT_GT(a, 60e-6 + 0.6 * 120e-6 - 1e-9);
   EXPECT_LT(a, 60e-6 + 1.4 * 120e-6 + 1e-9);
+}
+
+// Everything a worm does on the fabric, in order: each channel grant and
+// release (channel, copy, worm slot, time) and each delivery.
+struct FabricTrace {
+  std::vector<std::tuple<int, topo::ChannelId, std::uint8_t, std::uint32_t, double>> channels;
+  std::vector<std::tuple<std::uint64_t, topo::NodeId, double>> deliveries;
+
+  void attach(worm::Network& net) {
+    worm::NetworkHooks hooks = net.hooks();
+    hooks.on_channel_grant = [this](topo::ChannelId c, std::uint8_t k, std::uint32_t w,
+                                    double t) { channels.emplace_back(0, c, k, w, t); };
+    hooks.on_channel_release = [this](topo::ChannelId c, std::uint8_t k, std::uint32_t w,
+                                      double t) { channels.emplace_back(1, c, k, w, t); };
+    auto delivered = hooks.on_delivery;
+    hooks.on_delivery = [this, delivered](std::uint64_t m, topo::NodeId d, double l) {
+      deliveries.emplace_back(m, d, l);
+      if (delivered) delivered(m, d, l);
+    };
+    net.set_hooks(std::move(hooks));
+  }
+};
+
+TEST(FaultService, SendsInjectTheWormsOfRouteAndSpecs) {
+  // The FaultAwareRouter service sends plan() (the cache's plan payload
+  // when healthy, route_with_faults + the one converter when degraded); a
+  // custom-policy service over an identical stack sends route() + specs().
+  // Identical fabric traces mean identical worms: same channels, depths,
+  // copies and deliveries.
+  const topo::Mesh2D mesh(6, 6);
+  const worm::WormholeParams params{.flit_time = 50e-9, .message_flits = 16,
+                                    .channel_copies = 2};
+  for (const bool degraded : {false, true}) {
+    SCOPED_TRACE(degraded ? "degraded" : "healthy");
+    auto faults = std::make_shared<fault::FaultState>(mesh);
+    const auto planned_router =
+        fault::make_fault_aware_router(mesh, Algorithm::kMultiPath, faults, 2);
+    evsim::Scheduler sched_a;
+    svc::MulticastService planned(*planned_router, params, sched_a);
+
+    evsim::Scheduler sched_b;
+    const fault::FaultAwareRouter* routed_router = nullptr;
+    svc::MulticastService routed(
+        mesh, params, sched_b,
+        [&routed_router](const mcast::MulticastRequest& r) { return routed_router->route(r); },
+        [&routed_router](const mcast::MulticastRoute& r) { return routed_router->specs(r); });
+    const auto second_router = fault::make_fault_aware_router(
+        mesh, Algorithm::kMultiPath, routed.network().fault_state(), 2);
+    routed_router = second_router.get();
+
+    if (degraded) {
+      for (const topo::ChannelId c : {3u, 40u, 77u}) {
+        planned.network().fail_channel(c);
+        routed.network().fail_channel(c);
+      }
+    }
+    FabricTrace trace_a;
+    FabricTrace trace_b;
+    trace_a.attach(planned.network());
+    trace_b.attach(routed.network());
+
+    evsim::Rng rng(61);
+    for (int i = 0; i < 60; ++i) {
+      const topo::NodeId src = rng.uniform_int(0, mesh.num_nodes() - 1);
+      mcast::MulticastRequest req{src, rng.sample_destinations(mesh.num_nodes(), src,
+                                                              rng.uniform_int(1, 9))};
+      if (i % 4 == 0) req.destinations.push_back(req.destinations.back());
+      const double at = 2e-6 * i;
+      sched_a.schedule_at(at, [&planned, req] { planned.multicast(req); });
+      sched_b.schedule_at(at, [&routed, req] { routed.multicast(req); });
+    }
+    sched_a.run();
+    sched_b.run();
+    EXPECT_GT(trace_a.deliveries.size(), 200u);
+    EXPECT_EQ(trace_a.channels, trace_b.channels);
+    EXPECT_EQ(trace_a.deliveries, trace_b.deliveries);
+    if (degraded) {
+      EXPECT_GT(planned_router->cache()->stats().misses, 0u);
+    }
+  }
 }
 
 TEST(FaultService, ReliableRequiresFaultRouter) {

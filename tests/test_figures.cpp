@@ -4,7 +4,7 @@
 // binaries.
 #include <gtest/gtest.h>
 
-#include "core/route_factory.hpp"
+#include "core/router.hpp"
 #include "evsim/random.hpp"
 #include "wormhole/experiment.hpp"
 
@@ -44,12 +44,7 @@ worm::DynamicResult run_point(const MeshRoutingSuite& suite, Algorithm algo,
   cfg.max_messages = 1500;
   cfg.max_sim_time_s = 0.05;
   cfg.batch_size = 200;
-  const worm::RouteBuilder builder = [&suite, algo, copies](
-                                         NodeId src, const std::vector<NodeId>& d) {
-    return worm::make_worm_specs(suite.mesh(), suite.route(algo, MulticastRequest{src, d}),
-                                 copies);
-  };
-  return run_dynamic(suite.mesh(), builder, cfg);
+  return run_dynamic(*mcast::make_router(suite.mesh(), algo, copies), cfg);
 }
 
 // Fig. 7.1 shape: sorted MP beats multi-unicast for moderate k and beats

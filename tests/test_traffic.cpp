@@ -3,10 +3,8 @@
 
 #include <set>
 
-#include "core/dual_path.hpp"
 #include "core/route_cache.hpp"
 #include "evsim/scheduler.hpp"
-#include "topology/hamiltonian.hpp"
 #include "topology/mesh2d.hpp"
 #include "wormhole/traffic.hpp"
 #include "wormhole/worm.hpp"
@@ -17,32 +15,57 @@ using namespace mcnet;
 using topo::Mesh2D;
 using topo::NodeId;
 
+/// Dual-path router that logs (source, destination count) of every request
+/// the driver routes.
+class LoggingRouter final : public mcast::Router {
+ public:
+  LoggingRouter(const Mesh2D& mesh, std::vector<std::pair<NodeId, std::size_t>>* log)
+      : inner_(mcast::make_router(mesh, mcast::Algorithm::kDualPath, 1)), log_(log) {}
+
+  [[nodiscard]] mcast::MulticastRoute route(
+      const mcast::MulticastRequest& request) const override {
+    note(request);
+    return inner_->route(request);
+  }
+  void plan(const mcast::MulticastRequest& request, worm::WormPlan& out) const override {
+    note(request);
+    inner_->plan(request, out);
+  }
+  [[nodiscard]] std::string_view name() const override { return inner_->name(); }
+  [[nodiscard]] mcast::Algorithm algorithm() const override { return inner_->algorithm(); }
+  [[nodiscard]] bool deadlock_free() const override { return inner_->deadlock_free(); }
+  [[nodiscard]] const topo::Topology& topology() const override { return inner_->topology(); }
+  [[nodiscard]] std::uint8_t channel_copies() const override {
+    return inner_->channel_copies();
+  }
+
+ private:
+  void note(const mcast::MulticastRequest& request) const {
+    if (log_ != nullptr) log_->emplace_back(request.source, request.destinations.size());
+  }
+
+  std::unique_ptr<mcast::Router> inner_;
+  std::vector<std::pair<NodeId, std::size_t>>* log_;
+};
+
 struct Fixture {
   Mesh2D mesh{4, 4};
-  ham::MeshBoustrophedonLabeling lab{mesh};
   evsim::Scheduler sched;
   worm::Network net{mesh, {.flit_time = 1e-7, .message_flits = 8, .channel_copies = 1},
                     sched};
-
-  worm::RouteBuilder builder(std::vector<std::pair<NodeId, std::size_t>>* log = nullptr) {
-    return [this, log](NodeId src, const std::vector<NodeId>& dests) {
-      if (log) log->emplace_back(src, dests.size());
-      return worm::make_worm_specs(
-          mesh, mcast::dual_path_route(mesh, lab, mcast::MulticastRequest{src, dests}), 1);
-    };
-  }
 };
 
 TEST(TrafficDriver, EveryNodeGenerates) {
   Fixture f;
   std::vector<std::pair<NodeId, std::size_t>> log;
+  const LoggingRouter router(f.mesh, &log);
   worm::TrafficDriver driver(f.sched, f.net,
                              {.mean_interarrival_s = 1e-3,
                               .avg_destinations = 3,
                               .fixed_destinations = false,
                               .exponential_interarrival = false,
                               .seed = 5},
-                             f.builder(&log));
+                             router);
   driver.start();
   f.sched.run_until(20e-3);
   driver.stop();
@@ -56,13 +79,14 @@ TEST(TrafficDriver, EveryNodeGenerates) {
 TEST(TrafficDriver, FixedDestinationCountIsExact) {
   Fixture f;
   std::vector<std::pair<NodeId, std::size_t>> log;
+  const LoggingRouter router(f.mesh, &log);
   worm::TrafficDriver driver(f.sched, f.net,
                              {.mean_interarrival_s = 1e-3,
                               .avg_destinations = 7,
                               .fixed_destinations = true,
                               .exponential_interarrival = false,
                               .seed = 6},
-                             f.builder(&log));
+                             router);
   driver.start();
   f.sched.run_until(10e-3);
   driver.stop();
@@ -74,13 +98,14 @@ TEST(TrafficDriver, FixedDestinationCountIsExact) {
 TEST(TrafficDriver, VariableDestinationCountHasRequestedMean) {
   Fixture f;
   std::vector<std::pair<NodeId, std::size_t>> log;
+  const LoggingRouter router(f.mesh, &log);
   worm::TrafficDriver driver(f.sched, f.net,
                              {.mean_interarrival_s = 0.2e-3,
                               .avg_destinations = 5,
                               .fixed_destinations = false,
                               .exponential_interarrival = false,
                               .seed = 7},
-                             f.builder(&log));
+                             router);
   driver.start();
   f.sched.run_until(200e-3);
   driver.stop();
@@ -101,13 +126,14 @@ TEST(TrafficDriver, VariableDestinationCountHasRequestedMean) {
 TEST(TrafficDriver, StopHaltsGeneration) {
   Fixture f;
   std::vector<std::pair<NodeId, std::size_t>> log;
+  const LoggingRouter router(f.mesh, &log);
   worm::TrafficDriver driver(f.sched, f.net,
                              {.mean_interarrival_s = 1e-3,
                               .avg_destinations = 2,
                               .fixed_destinations = true,
                               .exponential_interarrival = false,
                               .seed = 8},
-                             f.builder(&log));
+                             router);
   driver.start();
   f.sched.run_until(5e-3);
   driver.stop();
@@ -168,13 +194,14 @@ TEST(TrafficDriver, RouteBatchPrefetchGeneratesEverywhereDeterministically) {
 TEST(TrafficDriver, ExponentialModeRunsAndDiffersFromUniform) {
   Fixture f;
   std::vector<std::pair<NodeId, std::size_t>> log;
+  const LoggingRouter router(f.mesh, &log);
   worm::TrafficDriver driver(f.sched, f.net,
                              {.mean_interarrival_s = 1e-3,
                               .avg_destinations = 3,
                               .fixed_destinations = true,
                               .exponential_interarrival = true,
                               .seed = 9},
-                             f.builder(&log));
+                             router);
   driver.start();
   f.sched.run_until(50e-3);
   driver.stop();

@@ -78,6 +78,42 @@ TEST(ChannelPool, CancelRequestsRemovesWaiters) {
   EXPECT_EQ(grant->first.worm_id, 3u);
 }
 
+TEST(ChannelPool, FifoOrderSurvivesInterleavedCancelAndRetarget) {
+  ChannelPool pool(3, 1);
+  const auto order = [&pool](topo::ChannelId c) {
+    std::vector<std::uint32_t> worms;
+    for (const ChannelRequest& r : pool.waiters(c)) worms.push_back(r.worm_id);
+    EXPECT_EQ(worms.size(), pool.waiters(c).size());
+    return worms;
+  };
+  (void)pool.acquire(0, {1, 0, 0});
+  (void)pool.acquire(2, {1, 1, 0});
+  for (std::uint32_t w = 2; w <= 5; ++w) {
+    (void)pool.acquire(0, {w, 0, 0});
+    (void)pool.acquire(2, {w, 1, 0});  // interleaved with another queue
+  }
+  pool.cancel_requests(3);  // from the middle of both queues
+  EXPECT_TRUE(pool.retarget(0, 4, 0, 9, 7));  // in place, keeps its turn
+  EXPECT_FALSE(pool.retarget(0, 4, 0, 9, 7));
+  pool.cancel_requests(2);                     // the head
+  (void)pool.acquire(0, {6, 0, 0});            // reuses a freed slot, queues last
+  pool.cancel_requests(6);                     // the tail
+  (void)pool.acquire(0, {7, 0, 0});
+  EXPECT_EQ(order(0), (std::vector<std::uint32_t>{9, 5, 7}));
+  EXPECT_EQ(order(2), (std::vector<std::uint32_t>{4, 5}));
+  EXPECT_TRUE(pool.waiters(1).empty());
+
+  auto grant = pool.release(0, 0);
+  ASSERT_TRUE(grant.has_value());
+  EXPECT_EQ(grant->first.worm_id, 9u);
+  EXPECT_EQ(grant->first.link_index, 7u);
+  EXPECT_EQ(pool.release(0, 0)->first.worm_id, 5u);
+  EXPECT_EQ(pool.release(0, 0)->first.worm_id, 7u);
+  EXPECT_FALSE(pool.release(0, 0).has_value());
+  EXPECT_EQ(pool.release(2, 0)->first.worm_id, 4u);
+  EXPECT_EQ(order(2), (std::vector<std::uint32_t>{5}));
+}
+
 // --- Worm timing ------------------------------------------------------------
 
 struct Capture {

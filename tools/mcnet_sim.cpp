@@ -28,13 +28,21 @@ using mcast::Algorithm;
 
 struct Instance {
   std::unique_ptr<topo::Topology> topology;
-  std::unique_ptr<mcast::CachingRouter> router;
+  std::unique_ptr<mcast::Router> router;
+  mcast::CachingRouter* cache = nullptr;  // router, when --cache wraps it
 };
 
-Instance make_instance(const std::string& spec, Algorithm algo, std::uint8_t copies) {
+Instance make_instance(const std::string& spec, Algorithm algo, std::uint8_t copies,
+                       bool cache) {
   Instance inst;
   inst.topology = topo::make_topology(spec);
-  inst.router = mcast::make_caching_router(*inst.topology, algo, copies);
+  if (cache) {
+    auto caching = mcast::make_caching_router(*inst.topology, algo, copies);
+    inst.cache = caching.get();
+    inst.router = std::move(caching);
+  } else {
+    inst.router = mcast::make_router(*inst.topology, algo, copies);
+  }
   return inst;
 }
 
@@ -63,6 +71,8 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2026, "random seed"));
     const auto batch = static_cast<std::uint32_t>(args.get_int(
         "batch", 1, "requests per route_many call (static: chunk size; dynamic: prefetch)"));
+    const bool cache = args.get_flag(
+        "cache", "memoize routes per destination set (pays off only when sets repeat)");
     const bool csv = args.get_flag("csv", "machine-readable output");
     const std::string trace_path =
         args.get("trace", "", "write a Chrome/Perfetto trace of the dynamic run (dynamic)");
@@ -75,7 +85,7 @@ int main(int argc, char** argv) {
     args.reject_unknown();
 
     const Algorithm algo = mcast::parse_algorithm(algo_name);
-    const Instance inst = make_instance(topo_spec, algo, copies);
+    const Instance inst = make_instance(topo_spec, algo, copies, cache);
     const std::uint32_t n = inst.topology->num_nodes();
     if (dests >= n) throw std::invalid_argument("dests must be < number of nodes");
 
@@ -133,7 +143,7 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     if (metrics_dump) {
       cfg.metrics = &registry;
-      inst.router->set_metrics(&registry);
+      if (inst.cache != nullptr) inst.cache->set_metrics(&registry);
     }
     std::unique_ptr<obs::EventTracer> tracer;
     if (!trace_path.empty()) {
@@ -142,7 +152,6 @@ int main(int argc, char** argv) {
     }
 
     const worm::DynamicResult r = run_dynamic(*inst.router, cfg);
-    const mcast::RouteCacheStats cache = inst.router->stats();
     if (csv) {
       std::printf(
           "topology,algorithm,dests,interarrival_us,latency_us,ci_us,ci_valid,"
@@ -170,9 +179,12 @@ int main(int argc, char** argv) {
       std::printf("  converged: %s, saturated: %s\n", r.converged ? "yes" : "no",
                   r.saturated ? "yes" : "no");
       std::printf("  stopped by:       %s\n", worm::termination_name(r.termination));
-      std::printf("  route cache:      %llu hits / %llu misses (%.1f%% hit rate)\n",
-                  static_cast<unsigned long long>(cache.hits),
-                  static_cast<unsigned long long>(cache.misses), cache.hit_rate() * 100.0);
+      if (inst.cache != nullptr) {
+        const mcast::RouteCacheStats stats = inst.cache->stats();
+        std::printf("  route cache:      %llu hits / %llu misses (%.1f%% hit rate)\n",
+                    static_cast<unsigned long long>(stats.hits),
+                    static_cast<unsigned long long>(stats.misses), stats.hit_rate() * 100.0);
+      }
     }
     if (tracer != nullptr) {
       if (!tracer->write_file(trace_path)) {
